@@ -115,9 +115,7 @@ def _hold_model(benchmark, make_queue, n_pending):
     horizon, then each operation pops the earliest event and pushes a
     replacement at ``popped.time + increment`` with increments drawn
     from the same fill distribution — steady state at constant
-    occupancy, the standard priority-queue benchmark.  The calendar
-    queue's claim is made here: at large ``n_pending`` its O(1) bucket
-    append beats the tuple heap's O(log n) sift.
+    occupancy, the standard priority-queue benchmark.
     """
     import random
 
@@ -152,22 +150,10 @@ def test_event_queue_hold_heap_10k_pending(benchmark):
     _hold_model(benchmark, EventQueue, 10_000)
 
 
-def test_event_queue_hold_calendar_10k_pending(benchmark):
-    from repro.sim.engine_calendar import CalendarQueue
-
-    _hold_model(benchmark, CalendarQueue, 10_000)
-
-
 def test_event_queue_hold_heap_200k_pending(benchmark):
     from repro.sim.engine import EventQueue
 
     _hold_model(benchmark, EventQueue, 200_000)
-
-
-def test_event_queue_hold_calendar_200k_pending(benchmark):
-    from repro.sim.engine_calendar import CalendarQueue
-
-    _hold_model(benchmark, CalendarQueue, 200_000)
 
 
 def test_small_scenario_end_to_end(benchmark):

@@ -5,22 +5,17 @@ Usage::
     PYTHONPATH=src python -m pytest benchmarks/bench_micro_substrate.py \
         benchmarks/bench_scenario_throughput.py \
         benchmarks/bench_monitor_plane.py \
-        benchmarks/bench_sharded.py \
-        benchmarks/bench_transport.py --benchmark-json=/tmp/m1.json
+        benchmarks/bench_sharded.py --benchmark-json=/tmp/m1.json
     python benchmarks/make_baseline.py /tmp/m1.json \
         benchmarks/results/m1_baseline.json
 
 The committed baseline keeps only the event-loop, scenario,
-flood-throughput, monitor-plane and transport-decode cases — the
-millisecond-scale benchmarks whose medians are stable enough to gate
-on.  (The transport gates cover the parent-side decode comparison and
-the typed-array pack/unpack pairs, where the codec beats pickle in both
-directions; the untyped pack-side and batch-codec cases stay
-artifact-only because the codec honestly loses those — see
-bench_transport.py.)  The nanosecond-scale cases (flow-table
-probes, packet pack/parse) jitter by tens of percent between runs on
-shared hardware, so gating on them would make CI flaky; they are still
-measured and uploaded as a workflow artifact on every build.  Raw
+flood-throughput and monitor-plane cases — the millisecond-scale
+benchmarks whose medians are stable enough to gate on.  The
+nanosecond-scale cases (flow-table probes, packet pack/parse) jitter by
+tens of percent between runs on shared hardware, so gating on them
+would make CI flaky; they are still measured and uploaded as a workflow
+artifact on every build.  Raw
 per-round samples are dropped (``compare_micro.py`` reads only
 ``stats.median``), but ``extra_info`` is kept: the throughput cases
 publish packets-per-second and their measured speedup over the pre-PR
@@ -37,9 +32,7 @@ BASELINE_CASES = (
     "test_event_loop_throughput_10k_events",
     "test_event_loop_schedule_many_batched",
     "test_event_queue_hold_heap_10k_pending",
-    "test_event_queue_hold_calendar_10k_pending",
     "test_event_queue_hold_heap_200k_pending",
-    "test_event_queue_hold_calendar_200k_pending",
     "test_small_scenario_end_to_end",
     "test_scenario_throughput_synflood",
     "test_scenario_throughput_udpflood",
@@ -49,14 +42,6 @@ BASELINE_CASES = (
     "test_monitor_plane_sketch_deep",
     "test_monitor_plane_sketch_repeat_heavy",
     "test_sharded_single_shard_overhead",
-    "test_transport_unpack_floats",
-    "test_transport_pickle_loads_floats",
-    # PR 10 typed-array node: the codec beats pickle in both directions
-    # on typed payloads, so both pairs are gated.
-    "test_transport_pack_typed_floats",
-    "test_transport_pickle_dumps_typed_floats",
-    "test_transport_unpack_typed_floats",
-    "test_transport_pickle_loads_typed_floats",
 )
 STATS_KEYS = (
     "min", "max", "mean", "stddev", "median", "iqr", "ops", "rounds", "iterations"

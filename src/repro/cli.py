@@ -19,8 +19,8 @@ cache (:mod:`repro.harness.cache`; ``cache info``/``cache clear`` manage
 the store); ``check`` runs the differential fuzzer from
 :mod:`repro.harness.fuzzer`, asserting that every seeded scenario
 produces byte-identical metrics on the optimized and reference
-implementations — and, with ``--scheduler-oracle``, on the
-calendar-queue engine — with runtime invariant checking enabled.
+implementations — and, with ``--scheduler-oracle``, through the
+sharded epoch protocol — with runtime invariant checking enabled.
 ``run`` and ``experiment`` both accept ``--check-invariants`` to enable
 the :mod:`repro.sim.invariants` sweeps during normal runs.
 
@@ -105,8 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(repro.sim.sharded); fingerprints are identical "
                           "at any shard count")
     run.add_argument("--engine", default="optimized", choices=ENGINES,
-                     help="event scheduler: tuple heap (optimized), calendar "
-                          "queue, or the reference loop (results identical)")
+                     help="event scheduler: tuple heap (optimized) or the "
+                          "reference loop (results identical)")
     run.add_argument("--check-invariants", action="store_true",
                      help="run periodic runtime invariant sweeps; violations "
                           "abort the run with a counterexample trace")
@@ -116,11 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-burst-coalescing", action="store_true",
                      help="schedule every generated packet as its own event "
                           "instead of coalesced bursts (results identical)")
-    run.add_argument("--transport", default="auto",
-                     choices=("auto", "pickle", "shm"),
-                     help="result transport for sharded runs: packed "
-                          "columnar boundary batches ('shm'/'auto') or "
-                          "legacy per-record pickle")
     run.add_argument("--monitor-backend", default="exact",
                      choices=("exact", "sketch"),
                      help="monitor feature backend: exact per-address dicts "
@@ -150,12 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "result cache (previously simulated points "
                                  "are served from disk; any src/ change "
                                  "invalidates)")
-    experiment.add_argument("--transport", default="auto",
-                            choices=("auto", "pickle", "shm"),
-                            help="worker-result transport for the process "
-                                 "pool: shared-memory segments ('shm'/'auto') "
-                                 "or the pickle pipe; prints transport "
-                                 "telemetry after the table")
     experiment.add_argument("--cache-dir", metavar="DIR", default=None,
                             help="cache location (default: $REPRO_CACHE_DIR "
                                  "or ./.repro-cache)")
@@ -264,9 +253,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "and burst coalescing disabled, on both engines, "
                             "and require byte-identical fingerprints")
     check.add_argument("--scheduler-oracle", action="store_true",
-                       help="additionally run every seed on the calendar-queue "
-                            "engine and require heap x calendar x reference "
-                            "fingerprints to be byte-identical")
+                       help="additionally run every seed through the sharded "
+                            "epoch protocol at 1, 2 and 4 shards and require "
+                            "heap x reference x sharded fingerprints to be "
+                            "byte-identical")
     check.add_argument("--serve-oracle", action="store_true",
                        help="additionally host every seed in a control-plane "
                             "session stepped in bounded slices and require a "
@@ -276,16 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "the sketch feature backend, assert estimator "
                             "error bounds per window, and re-run the scenario "
                             "in sketch mode under invariant sweeps")
-    check.add_argument("--transport-oracle", action="store_true",
-                       help="additionally recompute every seed's fingerprint "
-                            "through the pool and sharded result transports "
-                            "(pickle vs shared-memory) and require "
-                            "byte-identical results")
-    check.add_argument("--kernel-oracle", action="store_true",
-                       help="additionally replay every kernel-accelerated "
-                            "path (sketch folds, feature folds, transport "
-                            "pack) under both the numpy and scalar twins "
-                            "and require byte-identical state")
     check.add_argument("--json", action="store_true",
                        help="machine-readable per-seed report")
     return parser
@@ -340,10 +320,6 @@ def _command_run(args: argparse.Namespace) -> int:
         save_config(config, args.save)
         print(f"wrote {args.save}")
         return 0
-    if args.transport != "auto":
-        from repro.harness.transport import set_default_transport
-
-        set_default_transport(args.transport)
     result = run_scenario(config)
     timeline = result.timeline()
     attack_start = config.workload.attack_start_s
@@ -363,10 +339,10 @@ def _command_run(args: argparse.Namespace) -> int:
         "microflow_hit_rate": result.flow_table_stats().microflow_hit_rate,
         "buffer_evictions": result.buffer_evictions(),
     }
-    transport_stats = getattr(result, "transport_stats", None)
+    boundary_stats = getattr(result, "boundary_stats", None)
     if args.json:
-        if transport_stats:
-            summary["transport"] = transport_stats
+        if boundary_stats:
+            summary["boundary"] = boundary_stats
         print(json.dumps(summary, indent=2))
         return 0
     table = Table(f"{config.defense} on {config.topology} (seed {config.seed})",
@@ -376,15 +352,10 @@ def _command_run(args: argparse.Namespace) -> int:
             continue
         table.add_row(key, value)
     print(table.to_text())
-    if transport_stats:
+    if boundary_stats:
         print(
-            f"boundary transport: {transport_stats['transport']}, "
-            f"{transport_stats['epochs']} epochs, "
-            f"{transport_stats['boundary_records']} records; "
-            f"to workers {transport_stats['batch_records_to_workers']} recs / "
-            f"{transport_stats['batch_bytes_to_workers']} B, "
-            f"from workers {transport_stats['batch_records_from_workers']} recs / "
-            f"{transport_stats['batch_bytes_from_workers']} B"
+            f"boundary exchange: {boundary_stats['epochs']} epochs, "
+            f"{boundary_stats['boundary_records']} records"
         )
     return 0
 
@@ -394,10 +365,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         from repro.harness.scenario import force_check_invariants
 
         force_check_invariants()
-    if args.transport != "auto":
-        from repro.harness.transport import set_default_transport
-
-        set_default_transport(args.transport)
     cache = None
     if args.cache:
         from repro.harness.cache import SweepCache, set_default_cache
@@ -424,11 +391,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
     print(table.to_markdown() if args.markdown else table.to_text())
     if cache is not None:
         print(cache.stats.describe())
-    from repro.harness.parallel import pool_transport_stats
-
-    stats = pool_transport_stats()
-    if args.transport != "auto" or stats.shm_results or stats.pickle_results:
-        print(stats.describe())
     return 0
 
 
@@ -466,8 +428,6 @@ def _command_check(args: argparse.Namespace) -> int:
         scheduler_oracle=args.scheduler_oracle,
         serve_oracle=args.serve_oracle,
         sketch_oracle=args.sketch_oracle,
-        transport_oracle=args.transport_oracle,
-        kernel_oracle=args.kernel_oracle,
         progress=None if args.json else lambda o: print(describe_outcome(o)),
     )
     failed = [o for o in report.outcomes if not o.matched]
@@ -481,8 +441,6 @@ def _command_check(args: argparse.Namespace) -> int:
             "parallel_oracle": report.parallel_matched,
             "serve_oracle": report.serve_matched,
             "sketch_oracle": report.sketch_matched,
-            "transport_oracle": report.transport_matched,
-            "kernel_oracle": report.kernel_matched,
             "passed": report.passed,
         }, indent=2))
     else:
@@ -499,16 +457,6 @@ def _command_check(args: argparse.Namespace) -> int:
             oracle += (
                 f", sketch oracle "
                 f"{'ok' if report.sketch_matched else 'OUT OF BOUNDS'}"
-            )
-        if report.transport_matched is not None:
-            oracle += (
-                f", transport oracle "
-                f"{'ok' if report.transport_matched else 'MISMATCH'}"
-            )
-        if report.kernel_matched is not None:
-            oracle += (
-                f", kernel oracle "
-                f"{'ok' if report.kernel_matched else 'MISMATCH'}"
             )
         print(
             f"{verdict}: {len(report.outcomes) - len(failed)}/"

@@ -15,8 +15,8 @@ defense) and asserts exactly that:
   reference (:mod:`repro.sim.engine_reference` + linear-scan-only flow
   tables), compared as canonical JSON; with ``fastpath_oracle`` it runs
   four times, additionally flipping pooling + burst coalescing off on
-  both engines; with ``scheduler_oracle`` it also runs on the
-  calendar-queue engine (:mod:`repro.sim.engine_calendar`);
+  both engines; with ``scheduler_oracle`` it also runs through the
+  sharded epoch protocol at 1, 2 and 4 shards;
 * ``run_fuzz_suite(...)`` — the CI entry point behind ``repro check``,
   optionally adding the serial-vs-parallel harness oracle.
 
@@ -52,7 +52,6 @@ from repro.workload.profiles import WorkloadConfig
 __all__ = [
     "generate_scenario",
     "reference_variant",
-    "calendar_variant",
     "sharded_variant",
     "fastpath_variant",
     "fingerprint",
@@ -60,8 +59,6 @@ __all__ = [
     "run_differential",
     "run_serve_differential",
     "run_sketch_differential",
-    "run_transport_differential",
-    "run_kernel_differential",
     "run_fuzz_suite",
     "DifferentialOutcome",
     "FuzzSuiteReport",
@@ -140,18 +137,9 @@ def reference_variant(config: ScenarioConfig) -> ScenarioConfig:
     return replace(config, engine="reference", microflow_cache=False)
 
 
-def calendar_variant(config: ScenarioConfig) -> ScenarioConfig:
-    """The same scenario on the calendar-queue scheduler."""
-    return replace(config, engine="calendar")
-
-
 def sharded_variant(config: ScenarioConfig, shards: int) -> ScenarioConfig:
-    """The same scenario partitioned across ``shards`` engines.
-
-    Forced onto the calendar scheduler so the scheduler oracle holds one
-    fingerprint across heap × calendar × reference × sharded-at-any-N.
-    """
-    return replace(config, engine="calendar", shards=shards)
+    """The same scenario partitioned across ``shards`` engines."""
+    return replace(config, shards=shards)
 
 
 def fastpath_variant(config: ScenarioConfig) -> ScenarioConfig:
@@ -243,8 +231,6 @@ class FuzzSuiteReport:
     parallel_matched: Optional[bool] = None
     serve_matched: Optional[bool] = None
     sketch_matched: Optional[bool] = None
-    transport_matched: Optional[bool] = None
-    kernel_matched: Optional[bool] = None
 
     @property
     def passed(self) -> bool:
@@ -254,8 +240,6 @@ class FuzzSuiteReport:
             and self.parallel_matched is not False
             and self.serve_matched is not False
             and self.sketch_matched is not False
-            and self.transport_matched is not False
-            and self.kernel_matched is not False
         )
 
 
@@ -278,17 +262,15 @@ def run_differential(
     With ``fastpath_oracle`` the scenario additionally runs with packet
     pooling and burst coalescing forced off — on both engines — and all
     four fingerprints must be byte-identical.  With ``scheduler_oracle``
-    it also runs on the calendar-queue engine **and** through the
-    sharded coordinator at 1, 2 and 4 shards (inline workers, full
-    epoch/batch protocol), holding every scheduling strategy to one
-    fingerprint.
+    it also runs through the sharded coordinator at 1, 2 and 4 shards
+    (inline workers, full epoch/batch protocol), holding the heap,
+    reference and sharded schedulers to one fingerprint.
     """
     config = generate_scenario(seed)
     variants: list[tuple[str, ScenarioConfig]] = [
         ("reference", reference_variant(config)),
     ]
     if scheduler_oracle:
-        variants.append(("calendar", calendar_variant(config)))
         for shards in (1, 2, 4):
             variants.append(
                 (f"sharded-{shards}", sharded_variant(config, shards))
@@ -571,241 +553,6 @@ def run_sketch_differential(seed: int) -> DifferentialOutcome:
     )
 
 
-def run_transport_differential(
-    seed: int, optimized: str = "", workers: int = 2
-) -> DifferentialOutcome:
-    """One seed's transport-invariance check (``--transport-oracle``).
-
-    The generated scenario's fingerprint is recomputed through every
-    result-transport path and must match the in-process baseline byte
-    for byte:
-
-    * the process pool at ``workers`` processes under ``"pickle"`` and
-      ``"shm"`` (two identical tasks, so the fan-out path actually
-      engages — results cross the shared-memory plane under ``"shm"``);
-    * the sharded coordinator (inline workers, full epoch protocol) at
-      1, 2 and 4 shards under both transports, exercising the columnar
-      boundary-batch codec against the legacy per-record pickle path.
-
-    Pass a precomputed batch fingerprint via ``optimized`` to skip
-    re-running the baseline.
-    """
-    from repro.harness.parallel import run_tasks
-    from repro.harness.serialize import config_to_dict
-    from repro.sim.sharded.coordinator import run_sharded_scenario
-
-    config = generate_scenario(seed)
-    try:
-        if not optimized:
-            optimized = fingerprint_json(run_scenario(config))
-        config_data = config_to_dict(config)
-        for transport in ("pickle", "shm"):
-            pooled = run_tasks(
-                _fingerprint_worker,
-                [{"config_data": config_data}] * 2,
-                workers=workers,
-                transport=transport,
-            )
-            for fp in pooled:
-                if fp != optimized:
-                    return DifferentialOutcome(
-                        seed=seed, config=config, matched=False,
-                        detail=(
-                            f"pool transport {transport!r} diverged: "
-                            f"{_diff_summary(optimized, fp)}"
-                        ),
-                        optimized=optimized, reference=fp,
-                    )
-        for shards in (1, 2, 4):
-            for transport in ("pickle", "shm"):
-                fp = fingerprint_json(
-                    run_sharded_scenario(
-                        sharded_variant(config, shards),
-                        inline=True,
-                        transport=transport,
-                    )
-                )
-                if fp != optimized:
-                    return DifferentialOutcome(
-                        seed=seed, config=config, matched=False,
-                        detail=(
-                            f"sharded-{shards} transport {transport!r} "
-                            f"diverged: {_diff_summary(optimized, fp)}"
-                        ),
-                        optimized=optimized, reference=fp,
-                    )
-    except InvariantViolation as violation:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"invariant violation: {violation}",
-        )
-    return DifferentialOutcome(
-        seed=seed, config=config, matched=True,
-        optimized=optimized, reference=optimized,
-    )
-
-
-def _kernel_state_probe(seed: int) -> dict[str, Any]:
-    """Drive sketches, feature folds, and the packer under the *active*
-    kernel backend; returns every byte of resulting state for comparison.
-
-    The streams are adversarial by construction: window sizes straddle
-    ``kernels.MIN_BATCH`` (so the numpy run mixes twins at the cutover),
-    key distributions cover all-unique / all-repeat / interleaved /
-    unicode, and the packed payloads carry NaN/±inf floats, int64 edge
-    values, and typed arrays.
-    """
-    from array import array
-
-    from repro import kernels
-    from repro.harness import transport
-    from repro.monitor.features import FeatureExtractor
-    from repro.sim.sharded.codec import encode_batch
-
-    rng = random.Random(seed + _SEED_SALT * 13)
-    width = rng.choice((64, 256, 1024))
-    depth = rng.choice((3, 4))
-    exact = FeatureExtractor(backend="exact")
-    sketch = FeatureExtractor(
-        backend="sketch",
-        sketch_width=width,
-        sketch_depth=depth,
-        sketch_topk=rng.choice((4, 8)),
-        hll_precision=rng.choice((8, 10)),
-        sketch_seed=seed + 0xBEEF,
-        sketch_hash_cache=rng.choice((0, 16, 256)),
-    )
-    features: list[Any] = []
-    key_pools = (
-        [f"10.0.{i}.{i % 7}" for i in range(4000)],  # mostly first-touch
-        ["192.168.1.1", "192.168.1.2"],  # all-repeat
-        [f"πρξ-{i % 50}·☃" for i in range(100)],  # unicode, interleaved
-    )
-    for _ in range(6):
-        n = rng.choice((0, 3, kernels.MIN_BATCH - 1, kernels.MIN_BATCH, 700))
-        pool = rng.choice(key_pools)
-        for fx in (exact, sketch):
-            # Feed the columnar batch directly: the oracle targets the
-            # close_window fold layer; observe() is covered by the
-            # end-to-end scenario comparison in run_kernel_differential.
-            for _ in range(n):
-                fx._b_flags.append(rng.choice((-1, 2, 18, 16, 4, 20, 1, 17)))
-                fx._b_src.append(rng.choice(pool))
-                fx._b_dst.append(rng.choice(pool[:10]))
-            fx.packets_observed += n
-            features.append(fx.close_window(rng.random() * 10))
-    backend = sketch.backend
-    sketch_state = {
-        "rows": [
-            bytes(row.tobytes())
-            for hh in (backend.syn_dsts, backend.udp_dsts, backend.sources.hitters)
-            for row in hh.cms._rows
-        ],
-        "candidates": [
-            dict(hh._candidates)
-            for hh in (backend.syn_dsts, backend.udp_dsts, backend.sources.hitters)
-        ],
-        "registers": bytes(backend.sources.hll._registers),
-        "totals": (
-            backend.syn_dsts.total,
-            backend.udp_dsts.total,
-            backend.sources.total,
-            backend.sources.hll.total,
-        ),
-    }
-    payloads = [
-        [rng.random() for _ in range(500)],
-        [rng.randrange(-(2**62), 2**62) for _ in range(500)] + [2**63 - 1],
-        [float("nan"), float("inf"), float("-inf"), -0.0] * 40,
-        {"series": array("d", [rng.random() for _ in range(300)]),
-         "ids": array("q", [-1, 0, 2**62]), "mask": array("Q", [0, 2**63])},
-        [(rng.random(), str(rng.randrange(50)), rng.randrange(100))
-         for _ in range(200)],
-        [rng.choice(key_pools[2]) for _ in range(300)],
-        [1, 2.0, "mixed", None, (3, [4.5])],
-    ]
-    packed = [transport.pack(p) for p in payloads]
-    boundary = [
-        (rng.random() * 10, rng.random() * 10, 0, i, i, 0, (i, 1, b"\x00" * 14))
-        for i in range(80)
-    ]
-    packed.append(encode_batch(boundary))
-    return {
-        "features": features,
-        "exact_accounting": exact.accounting(),
-        "sketch_accounting": sketch.accounting(),
-        "sketch_state": sketch_state,
-        "packed": packed,
-    }
-
-
-def run_kernel_differential(seed: int) -> DifferentialOutcome:
-    """One seed's vectorized-vs-scalar twin comparison (``--kernel-oracle``).
-
-    Everything :mod:`repro.kernels` accelerates is replayed under both
-    backends and must come out byte-identical: sketch counter rows,
-    heavy-hitter candidates, HLL registers, folded feature records and
-    accounting (via the synthetic state probe), packed transport/batch
-    buffers, and — end to end — the full scenario fingerprint in both
-    exact and sketch monitor modes.  When numpy is unavailable the seed
-    passes trivially (there is only one twin to run).
-    """
-    from repro import kernels
-
-    config = generate_scenario(seed)
-    if not kernels.NUMPY_AVAILABLE:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=True,
-            detail="numpy unavailable; scalar twin only",
-        )
-    sketch_config = replace(
-        config,
-        spi=replace(
-            config.spi, monitor=replace(config.spi.monitor, backend="sketch")
-        ),
-    )
-    previous = kernels.active_backend()
-    try:
-        kernels.set_backend("scalar")
-        probe_scalar = _kernel_state_probe(seed)
-        fp_scalar = fingerprint_json(run_scenario(config))
-        sk_scalar = fingerprint_json(run_scenario(sketch_config))
-        kernels.set_backend("numpy")
-        probe_numpy = _kernel_state_probe(seed)
-        fp_numpy = fingerprint_json(run_scenario(config))
-        sk_numpy = fingerprint_json(run_scenario(sketch_config))
-    except InvariantViolation as violation:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"invariant violation: {violation}",
-        )
-    finally:
-        kernels.set_backend(previous)
-    for part in ("features", "exact_accounting", "sketch_accounting",
-                 "sketch_state", "packed"):
-        if probe_scalar[part] != probe_numpy[part]:
-            return DifferentialOutcome(
-                seed=seed, config=config, matched=False,
-                detail=f"kernel twins diverged in state probe part {part!r}",
-            )
-    if fp_numpy != fp_scalar:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"exact-mode diverged: {_diff_summary(fp_scalar, fp_numpy)}",
-            optimized=fp_numpy, reference=fp_scalar,
-        )
-    if sk_numpy != sk_scalar:
-        return DifferentialOutcome(
-            seed=seed, config=config, matched=False,
-            detail=f"sketch-mode diverged: {_diff_summary(sk_scalar, sk_numpy)}",
-            optimized=sk_numpy, reference=sk_scalar,
-        )
-    return DifferentialOutcome(
-        seed=seed, config=config, matched=True,
-        optimized=fp_numpy, reference=fp_scalar,
-    )
-
-
 def run_fuzz_suite(
     n_seeds: int = 25,
     base_seed: int = 0,
@@ -815,8 +562,6 @@ def run_fuzz_suite(
     scheduler_oracle: bool = False,
     serve_oracle: bool = False,
     sketch_oracle: bool = False,
-    transport_oracle: bool = False,
-    kernel_oracle: bool = False,
     progress: Optional[Callable[[DifferentialOutcome], None]] = None,
 ) -> FuzzSuiteReport:
     """The full differential sweep: ``n_seeds`` scenarios, two engines each.
@@ -827,20 +572,14 @@ def run_fuzz_suite(
     the in-process results byte for byte.  With ``fastpath_oracle`` each
     seed also runs with pooling + burst coalescing off on both engines
     (four runs per seed).  With ``scheduler_oracle`` each seed also runs
-    on the calendar-queue engine (heap × calendar × reference identity).
+    through the sharded epoch protocol at 1, 2 and 4 shards (heap ×
+    reference × sharded identity).
     With ``serve_oracle`` each seed is re-run hosted in a control-plane
     session, stepped in seed-dependent bounded slices, and must
     fingerprint byte-identically to the batch path.  With
     ``sketch_oracle`` each seed runs the exact-vs-sketch estimator
     comparison of :func:`run_sketch_differential` plus a full sketch-mode
-    run under invariant sweeps.  With ``transport_oracle`` each seed's
-    fingerprint is recomputed through the pool and sharded result
-    transports (``"pickle"`` vs ``"shm"``) per
-    :func:`run_transport_differential` and must stay byte-identical.
-    With ``kernel_oracle`` each seed replays every kernel-accelerated
-    path under both the numpy and scalar twins per
-    :func:`run_kernel_differential`, and all state must be
-    byte-identical.
+    run under invariant sweeps.
     """
     seeds = range(base_seed, base_seed + n_seeds)
     outcomes: list[DifferentialOutcome] = []
@@ -886,33 +625,11 @@ def run_fuzz_suite(
                 sketch_matched = False
                 if progress is not None:
                     progress(sketched)
-    transport_matched: Optional[bool] = None
-    if transport_oracle and outcomes:
-        transport_matched = True
-        for outcome in outcomes:
-            shipped = run_transport_differential(
-                outcome.seed, optimized=outcome.optimized, workers=workers
-            )
-            if not shipped.matched:
-                transport_matched = False
-                if progress is not None:
-                    progress(shipped)
-    kernel_matched: Optional[bool] = None
-    if kernel_oracle:
-        kernel_matched = True
-        for seed in seeds:
-            kerneled = run_kernel_differential(seed)
-            if not kerneled.matched:
-                kernel_matched = False
-                if progress is not None:
-                    progress(kerneled)
     return FuzzSuiteReport(
         outcomes=tuple(outcomes),
         parallel_matched=parallel_matched,
         serve_matched=serve_matched,
         sketch_matched=sketch_matched,
-        transport_matched=transport_matched,
-        kernel_matched=kernel_matched,
     )
 
 

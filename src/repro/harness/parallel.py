@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 if TYPE_CHECKING:
     from repro.harness.cache import SweepCache
 
-from repro.harness import transport as _transport
 from repro.harness.scenario import (
     ScenarioConfig,
     ScenarioResult,
@@ -64,39 +63,18 @@ __all__ = [
 
 @dataclass
 class PoolTransportStats:
-    """Lifetime tallies of how pool results travelled (what the CLI prints).
+    """Lifetime tallies of how pool results travelled.
 
-    ``shm_fallbacks`` counts results that *wanted* the shm plane but rode
-    the pickle channel instead (packing or segment creation failed in the
-    worker); ``pickle_results`` counts every result that crossed the
-    executor's pickle channel, fallbacks included.  ``swept_segments``
-    counts orphaned segments reclaimed by cleanup (timeout/retry/broken
-    pool) — nonzero sweeps with zero leaks is the design working.
+    Every result crosses the executor's pickle channel, so
+    ``pickle_results`` counts them all and ``shm_bytes`` stays 0; the
+    field is kept for readers that sum bytes across both counters.
     """
 
-    transport: str = "pickle"
-    shm_results: int = 0
-    shm_bytes: int = 0
     pickle_results: int = 0
-    shm_fallbacks: int = 0
-    swept_segments: int = 0
-
-    def describe(self) -> str:
-        return (
-            f"transport: {self.transport}, {self.shm_results} shm results "
-            f"({self.shm_bytes} bytes), {self.pickle_results} pickle results"
-            + (f", {self.shm_fallbacks} shm fallbacks" if self.shm_fallbacks else "")
-            + (f", {self.swept_segments} segments swept" if self.swept_segments else "")
-        )
+    shm_bytes: int = 0
 
 
 _transport_stats = PoolTransportStats()
-
-# Every shm segment name this process has issued and not yet retired.
-# Names are issued parent-side *before* submission so the parent can
-# always sweep what it issued, even when the worker that was filling a
-# segment died or outran a timeout.
-_live_segments: set[str] = set()
 
 
 def pool_transport_stats() -> PoolTransportStats:
@@ -106,22 +84,6 @@ def pool_transport_stats() -> PoolTransportStats:
 def reset_pool_transport_stats() -> None:
     global _transport_stats
     _transport_stats = PoolTransportStats()
-
-
-def _sweep_segments(force: bool = False) -> None:
-    """Reclaim orphaned segments.
-
-    A name stays registered when its segment cannot be found: a timed-out
-    worker may still be about to create it.  ``force=True`` (used after
-    the worker fleet is dead) retires those names too — nobody is left to
-    create them.
-    """
-    for name in list(_live_segments):
-        if _transport.shm_discard(name):
-            _transport_stats.swept_segments += 1
-            _live_segments.discard(name)
-        elif force:
-            _live_segments.discard(name)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -162,22 +124,26 @@ def shutdown_pool(timeout_s: float = 5.0) -> None:
     if _pool is None:
         return
     pool, _pool, _pool_workers = _pool, None, 0
-    # Private, but the only handle on the worker processes; taken before
-    # shutdown() because shutdown may clear it.
+    # Private, but the only handles on the worker processes and on the
+    # executor's manager thread; taken before shutdown() clears them.
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for process in processes:
         if process.is_alive():
             process.terminate()
+    # The manager thread joins every worker once they exit.  Joining the
+    # same child from two threads races: the loser's waitpid gets ECHILD
+    # and reports a dead worker alive until the winner stores the exit
+    # code.  Waiting for the manager first leaves every exit code set.
+    if manager is not None:
+        manager.join(timeout=timeout_s)
     deadline_each = max(0.1, timeout_s / max(1, len(processes)))
     for process in processes:
         process.join(timeout=deadline_each)
         if process.is_alive():
             process.kill()
             process.join(timeout=deadline_each)
-    # With the fleet dead, every issued-but-unseen segment is either on
-    # disk (unlink it) or will never exist (forget it).
-    _sweep_segments(force=True)
 
 
 atexit.register(shutdown_pool)
@@ -188,48 +154,6 @@ def _invoke(fn: Callable[..., Any], kwargs: dict[str, Any]) -> Any:
     return fn(**kwargs)
 
 
-_SHM_RESULT = "__repro_shm_result__"
-_RAW_RESULT = "__repro_raw_result__"
-
-
-def _invoke_shm(
-    fn: Callable[..., Any], kwargs: dict[str, Any], segment: str
-) -> Any:
-    """Worker-side trampoline for the shm plane.
-
-    The extracted value is packed and written into the parent-issued
-    segment; only ``(marker, name, packed_length)`` rides the executor's
-    pickle channel.  Any packing or segment failure degrades to returning
-    the raw value over pickle (tallied parent-side), never to losing the
-    result.
-    """
-    value = fn(**kwargs)
-    try:
-        data = _transport.pack(value)
-        _transport.shm_put(segment, data)
-    except Exception:
-        return (_RAW_RESULT, value)
-    return (_SHM_RESULT, segment, len(data))
-
-
-def _consume_result(outcome: Any) -> Any:
-    """Parent-side decode of one worker return value (any transport)."""
-    if type(outcome) is tuple:
-        if len(outcome) == 3 and outcome[0] == _SHM_RESULT:
-            name, length = outcome[1], outcome[2]
-            value = _transport.shm_get(name, length)
-            _live_segments.discard(name)
-            _transport_stats.shm_results += 1
-            _transport_stats.shm_bytes += length
-            return value
-        if len(outcome) == 2 and outcome[0] == _RAW_RESULT:
-            _transport_stats.pickle_results += 1
-            _transport_stats.shm_fallbacks += 1
-            return outcome[1]
-    _transport_stats.pickle_results += 1
-    return outcome
-
-
 def run_tasks(
     fn: Callable[..., Any],
     tasks: Sequence[dict[str, Any]],
@@ -237,7 +161,6 @@ def run_tasks(
     workers: Optional[int] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
-    transport: str = "auto",
 ) -> list[Any]:
     """Run ``fn(**task)`` for every task, returning results in task order.
 
@@ -248,64 +171,41 @@ def run_tasks(
     it (e.g. the payload was merely unpicklable) or raises the genuine
     error with a usable traceback.  A broken pool (a worker died) disables
     parallelism for the remaining tasks instead of failing the sweep.
-
-    ``transport`` selects how results travel back: ``"pickle"`` (the
-    executor's channel), ``"shm"`` (packed into shared-memory segments,
-    see :mod:`repro.harness.transport`), or ``"auto"`` (the process-wide
-    default).  Results are identical either way; the serial path bypasses
-    transport entirely.
+    Results travel back over the executor's pickle channel.
     """
     workers = resolve_workers(workers)
     if workers <= 1 or len(tasks) <= 1:
         return [fn(**task) for task in tasks]
 
-    mode = _transport.resolve_transport(transport)
-    use_shm = mode == "shm" and _transport.SHM_AVAILABLE
-    _transport_stats.transport = mode
-
-    def submit(pool: ProcessPoolExecutor, task: dict[str, Any]) -> Any:
-        if use_shm:
-            name = _transport.new_segment_name()
-            _live_segments.add(name)
-            return pool.submit(_invoke_shm, fn, task, name)
-        return pool.submit(_invoke, fn, task)
-
     pool = _get_pool(workers)
+    futures = [pool.submit(_invoke, fn, task) for task in tasks]
     results: list[Any] = []
-    try:
-        futures = [submit(pool, task) for task in tasks]
-        for index, task in enumerate(tasks):
-            future = futures[index]
-            attempts = 0
-            while True:
-                try:
-                    results.append(_consume_result(future.result(timeout=timeout_s)))
-                    break
-                except BrokenProcessPool:
-                    # The pool is unusable for every outstanding future;
-                    # finish this task (and let later iterations do the
-                    # same) serially.  shutdown_pool also force-sweeps
-                    # segments once the fleet is dead.
-                    shutdown_pool()
+    for future, task in zip(futures, tasks):
+        attempts = 0
+        while True:
+            try:
+                results.append(future.result(timeout=timeout_s))
+                _transport_stats.pickle_results += 1
+                break
+            except BrokenProcessPool:
+                # The pool is unusable for every outstanding future;
+                # finish this task (and let later iterations do the
+                # same) serially.
+                shutdown_pool()
+                results.append(fn(**task))
+                break
+            except Exception as exc:
+                if isinstance(exc, FutureTimeoutError):
+                    future.cancel()
+                if attempts >= retries:
                     results.append(fn(**task))
                     break
-                except Exception as exc:
-                    if isinstance(exc, FutureTimeoutError):
-                        future.cancel()
-                    if attempts >= retries:
-                        results.append(fn(**task))
-                        break
-                    attempts += 1
-                    try:
-                        future = submit(_get_pool(workers), task)
-                    except Exception:
-                        results.append(fn(**task))
-                        break
-    finally:
-        # Retire what this call issued but never consumed (timed-out or
-        # retried attempts).  Segments a straggling worker has not created
-        # *yet* stay registered for the post-shutdown force sweep.
-        _sweep_segments()
+                attempts += 1
+                try:
+                    future = _get_pool(workers).submit(_invoke, fn, task)
+                except Exception:
+                    results.append(fn(**task))
+                    break
     return results
 
 
@@ -323,7 +223,6 @@ def _run_configs(
     workers: Optional[int],
     timeout_s: Optional[float],
     retries: int,
-    transport: str = "auto",
 ) -> list[Any]:
     """Simulate + reduce each config, serially or through the pool."""
     if resolve_workers(workers) <= 1 or len(configs) <= 1:
@@ -338,7 +237,6 @@ def _run_configs(
         workers=workers,
         timeout_s=timeout_s,
         retries=retries,
-        transport=transport,
     )
 
 
@@ -351,7 +249,6 @@ def run_scenarios(
     timeout_s: Optional[float] = None,
     retries: int = 1,
     cache: Optional["SweepCache"] = None,
-    transport: str = "auto",
 ) -> list[Any]:
     """Run one scenario per override point, fanned out across workers.
 
@@ -371,9 +268,6 @@ def run_scenarios(
             ``repro experiment --cache`` (``None`` → no caching).  Only
             extracted values are cacheable: with ``extract=None`` the
             points are counted as skipped.
-        transport: how extracted values travel back from workers —
-            ``"pickle"``, ``"shm"``, or ``"auto"`` (see
-            :func:`run_tasks`); value-identical either way.
 
     Returns:
         One value per point, in point order, regardless of worker count
@@ -396,7 +290,7 @@ def run_scenarios(
             cache.stats.skipped += len(configs)
         return [run_scenario(config) for config in configs]
     if cache is None:
-        return _run_configs(configs, extract, workers, timeout_s, retries, transport)
+        return _run_configs(configs, extract, workers, timeout_s, retries)
 
     keys = [cache.key(config, extract) for config in configs]
     results: list[Any] = [None] * len(configs)
@@ -409,8 +303,7 @@ def run_scenarios(
             pending.append(index)
     if pending:
         fresh = _run_configs(
-            [configs[i] for i in pending], extract, workers, timeout_s, retries,
-            transport,
+            [configs[i] for i in pending], extract, workers, timeout_s, retries
         )
         # Stored parent-side: spawn workers never touch the cache files.
         for index, value in zip(pending, fresh):

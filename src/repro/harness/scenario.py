@@ -53,7 +53,7 @@ TOPOLOGIES = {
 
 DEFENSES = ("spi", "monitor-only", "always-on", "sampled", "flow-stats", "none")
 
-ENGINES = ("optimized", "calendar", "reference")
+ENGINES = ("optimized", "reference")
 
 # Process-wide override set by ``repro experiment --check-invariants``:
 # experiment runners build their own configs, so the flag is applied to

@@ -23,20 +23,12 @@ the coordinator can tear down the remaining siblings (the same
 terminate → join → kill escalation :func:`repro.harness.parallel
 .shutdown_pool` applies to abandoned sweep workers).
 
-Both workers take a ``transport`` mode (see
-:mod:`repro.harness.transport`): with ``"shm"`` (the resolved default)
-each epoch's boundary batches cross the pipe as one packed columnar
-buffer per ``(src, dest)`` pair via
-:func:`repro.sim.sharded.codec.encode_batch` instead of per-record
-pickle; ``"pickle"`` keeps the legacy per-record path.  Decoding is
-type-sniffed (a packed batch is ``bytes``), so both ends always agree.
-Each worker handle tallies batch bytes/records in both directions for
-the coordinator's transport telemetry.
+Requests and replies, boundary batches included, cross the pipe as
+plain pickled data.
 
 ``InlineShardWorker`` is the in-process stand-in with the identical
-protocol — requests and replies are still round-tripped through the
-same batch codec (and pickle for the non-batch residue) so transport
-assumptions (no live object sharing) hold even without a process
+protocol — requests and replies are still round-tripped through pickle
+so the no-live-object-sharing assumption holds even without a process
 boundary, and inline test runs exercise the real encoding.  The
 differential oracle uses it to run the full epoch protocol at
 test-suite speed.
@@ -48,7 +40,7 @@ import multiprocessing
 import pickle
 import time
 import traceback
-from typing import Any, Optional
+from typing import Any
 
 __all__ = [
     "ShardWorkerError",
@@ -74,65 +66,6 @@ class ShardWorkerError(RuntimeError):
         self.remote_traceback = remote_traceback
 
 
-def _pack_request(request: tuple) -> tuple[tuple, int, int]:
-    """Encode an epoch request's batches; returns (request, records, bytes)."""
-    if request[0] != "epoch":
-        return request, 0, 0
-    # Imported here, not at module level: the sharded package's
-    # coordinator imports this module, and spawn children resolve this
-    # module first — a top-level import would close the cycle mid-init.
-    from repro.sim.sharded.codec import encode_batch
-
-    _tag, batches, limit = request
-    packed = []
-    records = total = 0
-    for src, recs in batches:
-        blob = encode_batch(recs)
-        records += len(recs)
-        total += len(blob)
-        packed.append((src, blob))
-    return ("epoch", packed, limit), records, total
-
-
-def _unpack_request(request: tuple) -> tuple:
-    """Decode packed batches in an epoch request (type-sniffed, lossless)."""
-    if request[0] != "epoch":
-        return request
-    from repro.sim.sharded.codec import decode_batch
-
-    _tag, batches, limit = request
-    unpacked = [
-        (src, decode_batch(recs) if isinstance(recs, (bytes, bytearray)) else recs)
-        for src, recs in batches
-    ]
-    return ("epoch", unpacked, limit)
-
-
-def _pack_reply(tag: str, result: Any) -> Any:
-    """Encode the outbox of an epoch/stop_workload reply."""
-    if tag in ("epoch", "stop_workload"):
-        from repro.sim.sharded.codec import encode_batch
-
-        next_time, outbox = result
-        return (next_time, encode_batch(outbox))
-    return result
-
-
-def _unpack_reply(value: Any) -> tuple[Any, int, int]:
-    """Decode a packed outbox; returns (reply, records, bytes)."""
-    if (
-        type(value) is tuple
-        and len(value) == 2
-        and isinstance(value[1], (bytes, bytearray))
-    ):
-        from repro.sim.sharded.codec import decode_batch
-
-        next_time, blob = value
-        outbox = decode_batch(blob)
-        return (next_time, outbox), len(outbox), len(blob)
-    return value, 0, 0
-
-
 def _dispatch(runtime, request: tuple) -> Any:
     """Apply one protocol request to a runtime; shared by both workers."""
     tag = request[0]
@@ -148,7 +81,10 @@ def _dispatch(runtime, request: tuple) -> Any:
         # One leg of a coordinator-driven retune broadcast: the
         # coordinator already validated the mutation against the shared
         # config, so this shard applies it to its own live monitors.
-        # Imported lazily like the codec (see _pack_request).
+        # Imported here, not at module level: the sharded package's
+        # coordinator imports this module, and spawn children resolve
+        # this module first — a top-level import would close the cycle
+        # mid-init.
         from repro.service.reconfig import apply_reconfig
 
         _tag, target, params = request
@@ -158,9 +94,7 @@ def _dispatch(runtime, request: tuple) -> Any:
     raise ValueError(f"unknown shard request {tag!r}")
 
 
-def _shard_worker_main(
-    shard: int, config_data: dict, conn, transport: str = "pickle"
-) -> None:
+def _shard_worker_main(shard: int, config_data: dict, conn) -> None:
     """Spawn entrypoint: build the replica, then serve the pipe."""
     try:
         from repro.harness.serialize import config_from_dict
@@ -169,13 +103,10 @@ def _shard_worker_main(
         runtime = ShardRuntime(config_from_dict(config_data), shard)
         conn.send(("ready", runtime.next_time()))
         while True:
-            request = _unpack_request(conn.recv())
+            request = conn.recv()
             if request[0] == "close":
                 return
-            result = _dispatch(runtime, request)
-            if transport == "shm":
-                result = _pack_reply(request[0], result)
-            conn.send(("ok", result))
+            conn.send(("ok", _dispatch(runtime, request)))
     except (EOFError, KeyboardInterrupt):
         return
     except BaseException as exc:  # report, then die
@@ -197,20 +128,14 @@ class ShardWorker:
         shard: int,
         config_data: dict,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        transport: str = "pickle",
     ) -> None:
         self.shard = shard
         self.timeout_s = timeout_s
-        self.transport = transport
-        self.batch_records_out = 0
-        self.batch_bytes_out = 0
-        self.batch_records_in = 0
-        self.batch_bytes_in = 0
         ctx = multiprocessing.get_context("spawn")
         self.conn, child = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
             target=_shard_worker_main,
-            args=(shard, config_data, child, transport),
+            args=(shard, config_data, child),
             daemon=True,
         )
         self.process.start()
@@ -228,10 +153,6 @@ class ShardWorker:
 
     def send(self, request: tuple) -> None:
         """Issue one protocol request (reply collected via :meth:`recv`)."""
-        if self.transport == "shm":
-            request, records, total = _pack_request(request)
-            self.batch_records_out += records
-            self.batch_bytes_out += total
         try:
             self.conn.send(request)
         except (BrokenPipeError, OSError) as exc:
@@ -247,10 +168,7 @@ class ShardWorker:
             raise ShardWorkerError(self.shard, stage, detail, remote_tb)
         if tag != "ok":
             raise ShardWorkerError(self.shard, stage, f"bad reply {tag!r}")
-        value, records, total = _unpack_reply(rest[0])
-        self.batch_records_in += records
-        self.batch_bytes_in += total
-        return value
+        return rest[0]
 
     def call(self, request: tuple, stage: str) -> Any:
         """Synchronous send + recv."""
@@ -291,26 +209,16 @@ class ShardWorker:
 class InlineShardWorker:
     """The same protocol served by an in-process runtime.
 
-    Requests and replies are round-tripped through the *same* encoding
-    the pipe would use — the columnar batch codec under ``"shm"``, plain
-    pickle under ``"pickle"`` (with pickle covering the non-batch
-    residue in both modes) — so inline and process modes exercise
-    identical transport semantics (and identical fingerprints), rather
-    than the double-pickle divergence this class used to have.
+    Requests and replies are round-tripped through pickle, the same
+    encoding the pipe uses, so inline and process modes exercise
+    identical transport semantics (and identical fingerprints).
     """
 
-    def __init__(
-        self, shard: int, config_data: dict, transport: str = "pickle"
-    ) -> None:
+    def __init__(self, shard: int, config_data: dict) -> None:
         from repro.harness.serialize import config_from_dict
         from repro.sim.sharded.runtime import ShardRuntime
 
         self.shard = shard
-        self.transport = transport
-        self.batch_records_out = 0
-        self.batch_bytes_out = 0
-        self.batch_records_in = 0
-        self.batch_bytes_in = 0
         self.runtime = ShardRuntime(config_from_dict(config_data), shard)
         self._reply: Any = None
 
@@ -318,20 +226,8 @@ class InlineShardWorker:
         return self.runtime.next_time()
 
     def send(self, request: tuple) -> None:
-        if self.transport == "shm":
-            request, records, total = _pack_request(request)
-            self.batch_records_out += records
-            self.batch_bytes_out += total
-        request = _unpack_request(pickle.loads(pickle.dumps(request)))
-        result = _dispatch(self.runtime, request)
-        if self.transport == "shm":
-            result = _pack_reply(request[0], result)
-        result, records_in, bytes_in = _unpack_reply(
-            pickle.loads(pickle.dumps(result))
-        )
-        self.batch_records_in += records_in
-        self.batch_bytes_in += bytes_in
-        self._reply = result
+        result = _dispatch(self.runtime, pickle.loads(pickle.dumps(request)))
+        self._reply = pickle.loads(pickle.dumps(result))
 
     def recv(self, stage: str) -> Any:
         reply, self._reply = self._reply, None

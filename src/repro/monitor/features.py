@@ -5,9 +5,10 @@ The monitor tier is deliberately cheap: it looks only at header fields
 :class:`WindowFeatures` record.  Counts are scaled by the inverse
 sampling probability so features estimate true traffic volumes.
 
-The extractor is columnar: ``observe`` only appends ``(flags, src,
-dst)`` to flat per-window batch lists, and ``close_window`` folds the
-whole batch in arrival order through a pluggable *feature backend*:
+The extractor is columnar: ``observe`` only appends the flag byte and
+the addresses the fold needs to flat per-window batch lists, and
+``close_window`` folds the whole batch in arrival order through a
+pluggable *feature backend*:
 
 * ``exact`` — per-source :class:`EntropyAccumulator` and full
   per-destination dicts (memory grows with distinct addresses; the
@@ -27,10 +28,8 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import NamedTuple
 
-from repro import kernels
 from repro.net.flowkey import FlowKey
 from repro.net.headers import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
 from repro.net.packet import Packet
@@ -44,6 +43,9 @@ from repro.monitor.window import EntropyAccumulator
 #: Default seed for the sketch backend's keyed hashing.  Any fixed value
 #: works; it only has to be identical across runs and spawn workers.
 DEFAULT_SKETCH_SEED = 0xD5EED
+
+# Pure SYN test: ``flags & _SYN_ACK == TCP_SYN`` (SYN set, ACK clear).
+_SYN_ACK = TCP_SYN | TCP_ACK
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,7 @@ class SketchFeatureBackend:
         """Bulk-add whole-window per-key counts into the sketches.
 
         One keyed hash (or LRU hit) per *unique* key per sketch; the
-        heavy-hitter candidate set sees one whole-window amount per key
-        — the canonical bulk semantics shared by both kernel twins.
+        heavy-hitter candidate set sees one whole-window amount per key.
         """
         self.syn_adds += n_syn
         self.udp_adds += n_udp
@@ -316,13 +317,14 @@ class SketchFeatureBackend:
 class FeatureExtractor:
     """Accumulates sampled packets and closes windows into features.
 
-    ``observe`` is the per-packet hot path and does no classification
-    work beyond reading the transport header: it appends the TCP flag
-    byte (``-1`` for UDP) and the addresses to flat batch lists.  The
-    whole batch is folded once per window by ``close_window``, in
-    arrival order so the exact backend's dict insertion order — and
-    therefore every downstream tie-break — matches the historical
-    per-packet path byte for byte.
+    ``observe`` is the per-packet hot path: it appends the TCP flag
+    byte (``-1`` for UDP) to a flag column, and — only for pure SYNs
+    and UDP datagrams, the packets whose addresses feed the backend —
+    the source to a source column and the destination to a SYN or UDP
+    destination column.  The whole batch is folded once per window by
+    ``close_window``, in arrival order so the exact backend's dict
+    insertion order — and therefore every downstream tie-break —
+    matches the historical per-packet path byte for byte.
     """
 
     def __init__(
@@ -375,13 +377,15 @@ class FeatureExtractor:
         self.folded_total = 0
         self.folded_syn_total = 0
         self.folded_udp_total = 0
-        # Columnar per-window batch: parallel lists of the TCP flag byte
-        # (-1 = UDP) and the flow addresses.  IP packets that are neither
-        # TCP nor UDP, and non-IP packets, only count toward the window
-        # total and are tallied in _n_plain instead of being appended.
+        # Columnar per-window batch: the TCP flag byte (-1 = UDP) of every
+        # TCP/UDP packet, the sources of pure SYNs and UDP datagrams, and
+        # their destinations split by protocol.  IP packets that are
+        # neither TCP nor UDP, and non-IP packets, only count toward the
+        # window total and are tallied in _n_plain instead.
         self._b_flags: list[int] = []
         self._b_src: list[str] = []
-        self._b_dst: list[str] = []
+        self._b_syn_dst: list[str] = []
+        self._b_udp_dst: list[str] = []
         self._n_plain = 0
         self._window_start = 0.0
 
@@ -418,41 +422,60 @@ class FeatureExtractor:
             return
         tcp = packet.tcp
         if tcp is not None:
-            self._b_flags.append(tcp.flags)
+            flags = tcp.flags
+            self._b_flags.append(flags)
+            if flags & _SYN_ACK != TCP_SYN:
+                return
+            dsts = self._b_syn_dst
         elif packet.udp is not None:
             self._b_flags.append(-1)
+            dsts = self._b_udp_dst
         else:
             self._n_plain += 1
             return
         if key is not None:
             self._b_src.append(key.ip_src)
-            self._b_dst.append(key.ip_dst)
+            dsts.append(key.ip_dst)
         else:
             self._b_src.append(ip.src_ip)
-            self._b_dst.append(ip.dst_ip)
+            dsts.append(ip.dst_ip)
 
     def close_window(self, now: float) -> WindowFeatures:
         """Fold the batch through the backend, summarize, and reset.
 
-        The flag column is classified by a kernel twin
-        (:func:`repro.kernels.classify_flags`), the address columns are
-        reduced to first-touch-ordered per-key Counters, and the backend
-        ingests the whole window through ``fold`` — one state touch per
-        *unique* key instead of one per packet.
+        The seven flag counts come from one ``Counter`` over the flag
+        column, classified per *distinct* flag value; the address columns
+        are reduced to first-touch-ordered per-key Counters, and the
+        backend ingests the whole window through ``fold`` — one state
+        touch per *unique* key instead of one per packet.
         """
         backend = self.backend
         flags_list = self._b_flags
         n_batch = len(flags_list)
-        fold = kernels.classify_flags(
-            flags_list, TCP_SYN, TCP_ACK, TCP_RST, TCP_FIN
-        )
-        src_counts = Counter(compress(self._b_src, fold.src_sel))
-        syn_dst_counts = Counter(compress(self._b_dst, fold.syn_sel))
-        udp_dst_counts = Counter(compress(self._b_dst, fold.udp_sel))
+        n_tcp = n_syn = n_synack = n_ack = n_rst = n_fin = n_udp = 0
+        for fl, n in Counter(flags_list).items():
+            if fl < 0:
+                n_udp += n
+                continue
+            n_tcp += n
+            if fl & TCP_SYN:
+                if fl & TCP_ACK:
+                    n_synack += n
+                else:
+                    n_syn += n
+            elif fl & TCP_ACK:
+                n_ack += n
+            if fl & TCP_RST:
+                n_rst += n
+            if fl & TCP_FIN:
+                n_fin += n
         backend.fold(
-            src_counts, syn_dst_counts, udp_dst_counts, fold.n_syn, fold.n_udp
+            Counter(self._b_src),
+            Counter(self._b_syn_dst),
+            Counter(self._b_udp_dst),
+            n_syn,
+            n_udp,
         )
-        n_tcp, n_syn, n_synack, n_ack, n_rst, n_fin, n_udp = fold[:7]
         scale = self._scale
         summary = backend.summarize(scale, self.per_destination_cap)
         features = WindowFeatures(
@@ -486,7 +509,8 @@ class FeatureExtractor:
                 self.peak_state_bytes = state
         flags_list.clear()
         self._b_src.clear()
-        self._b_dst.clear()
+        self._b_syn_dst.clear()
+        self._b_udp_dst.clear()
         self._n_plain = 0
         backend.reset()
         self._window_start = now

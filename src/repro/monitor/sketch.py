@@ -41,8 +41,6 @@ import sys
 from array import array
 from hashlib import blake2b
 
-from repro import kernels
-
 _MASK64 = (1 << 64) - 1
 
 #: Default per-sketch LRU entries; 0 disables memoization.
@@ -161,17 +159,12 @@ class CountMinSketch:
         """Count every ``(key, amount)`` pair; returns post-add estimates.
 
         Equivalent to sequential :meth:`add` calls in the dict's
-        iteration (first-touch) order — the kernel twins reproduce the
-        exact estimate sequence and counter bytes — with one slot
-        resolve (and one LRU touch) per unique key.
+        iteration (first-touch) order — same estimate sequence, same
+        counter bytes — with one slot resolve (and one LRU touch) per
+        unique key.
         """
-        if not counts:
-            return []
-        slots = self._slots
-        slots_list = [slots(key) for key in counts]
-        ests = kernels.cms_bulk_add(self._rows, slots_list, list(counts.values()))
-        self.total += sum(counts.values())
-        return ests
+        add = self.add
+        return [add(key, amount) for key, amount in counts.items()]
 
     def estimate(self, key: str) -> int:
         """Estimated count for ``key`` (never below the true count)."""
@@ -251,8 +244,8 @@ class HeavyHitterSketch:
         """Count every ``(key, amount)`` pair and refresh the candidates.
 
         The candidate maintenance runs once per *unique* key with that
-        key's whole-window amount — the canonical bulk semantics both
-        kernel twins share (``--kernel-oracle`` pins them byte-identical).
+        key's whole-window amount: the state equals sequential
+        :meth:`add` calls over the dict's ``(key, amount)`` pairs.
         """
         ests = self.cms.add_bulk(counts)
         cand = self._candidates
@@ -368,33 +361,12 @@ class HyperLogLog:
     def add_bulk(self, keys) -> None:
         """Observe each key once (bulk adds count one distinct per key).
 
-        The slot/rank resolve (hash + LRU traffic) is shared scalar
-        code; only the register fold is a kernel twin — max commutes,
-        so the register file is byte-identical either way.
+        Max commutes, so the register file is byte-identical to
+        sequential :meth:`add` calls.
         """
-        keys = keys if isinstance(keys, list) else list(keys)
-        if not keys:
-            return
-        self.total += len(keys)
-        cache = self._cache
-        hash_key = self._key
-        mask = self._m - 1
-        precision = self.precision
-        slots = []
-        ranks = []
+        add = self.add
         for key in keys:
-            pair = cache.get(key) if cache is not None else None
-            if pair is None:
-                value = _hash64(key, hash_key)
-                slot = value & mask
-                rest = value >> precision
-                rank = (64 - precision) - rest.bit_length() + 1
-                pair = (slot, rank)
-                if cache is not None:
-                    cache.put(key, pair)
-            slots.append(pair[0])
-            ranks.append(pair[1])
-        kernels.hll_bulk_max(self._registers, slots, ranks)
+            add(key)
 
     def estimate(self) -> float:
         """Estimated number of distinct keys observed."""

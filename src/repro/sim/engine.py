@@ -1,6 +1,6 @@
 """Core discrete-event simulation engine.
 
-The engine is a classic calendar-queue simulator: callbacks are scheduled at
+The engine is a classic priority-queue simulator: callbacks are scheduled at
 absolute simulated times and executed in time order.  Ties are broken by a
 monotonically increasing sequence number so that events scheduled earlier run
 earlier, which keeps every run fully deterministic for a given seed.

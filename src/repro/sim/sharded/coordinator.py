@@ -36,7 +36,6 @@ from typing import Any, Callable, Optional
 
 from repro.harness.scenario import ScenarioConfig, ScenarioResult, effective_config
 from repro.harness.serialize import config_to_dict
-from repro.harness.transport import resolve_transport
 from repro.harness.shards import (
     InlineShardWorker,
     ShardWorker,
@@ -65,14 +64,12 @@ class ShardedResult:
         self,
         base: ScenarioResult,
         fingerprint_data: dict[str, Any],
-        transport_stats: Optional[dict[str, Any]] = None,
+        boundary_stats: Optional[dict[str, Any]] = None,
     ):
         self._base = base
         self.fingerprint_data = fingerprint_data
-        #: Boundary-exchange telemetry: transport mode, epoch count, and
-        #: batch bytes/records in each direction (zeros under "pickle",
-        #: which ships records without an intermediate buffer).
-        self.transport_stats = transport_stats or {}
+        #: Boundary-exchange telemetry: epoch count and routed records.
+        self.boundary_stats = boundary_stats or {}
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._base, name)
@@ -99,7 +96,6 @@ class ShardedRun:
         *,
         inline: bool = False,
         timeout_s: Optional[float] = None,
-        transport: str = "auto",
     ) -> None:
         if config.shards < 1:
             raise ValueError("shard count must be >= 1")
@@ -115,9 +111,6 @@ class ShardedRun:
         self.result: Optional[ShardedResult] = None
         #: Barrier rounds run so far (telemetry; benchmarks report it).
         self.epochs = 0
-        #: Resolved boundary transport: "shm" packs each epoch's batches
-        #: into one columnar buffer per (src, dest); "pickle" is legacy.
-        self.transport = resolve_transport(transport)
         #: Boundary records routed through the barrier (all shard pairs,
         #: coordinator-local included).
         self.boundary_records = 0
@@ -134,23 +127,12 @@ class ShardedRun:
             config_data = config_to_dict(config)
             for shard in range(1, config.shards):
                 if inline:
-                    self.workers.append(
-                        InlineShardWorker(
-                            shard, config_data, transport=self.transport
-                        )
-                    )
+                    self.workers.append(InlineShardWorker(shard, config_data))
                 elif timeout_s is None:
-                    self.workers.append(
-                        ShardWorker(shard, config_data, transport=self.transport)
-                    )
+                    self.workers.append(ShardWorker(shard, config_data))
                 else:
                     self.workers.append(
-                        ShardWorker(
-                            shard,
-                            config_data,
-                            timeout_s=timeout_s,
-                            transport=self.transport,
-                        )
+                        ShardWorker(shard, config_data, timeout_s=timeout_s)
                     )
             self._next[0] = self.coordinator.next_time()
             for worker in self.workers:
@@ -331,23 +313,7 @@ class ShardedRun:
             raise
         graft_workload(self.coordinator.result, reports)
         data = merged_fingerprint_data(self.coordinator.result, reports)
-        stats = {
-            "transport": self.transport,
-            "epochs": self.epochs,
-            "boundary_records": self.boundary_records,
-            "batch_bytes_to_workers": sum(
-                worker.batch_bytes_out for worker in self.workers
-            ),
-            "batch_records_to_workers": sum(
-                worker.batch_records_out for worker in self.workers
-            ),
-            "batch_bytes_from_workers": sum(
-                worker.batch_bytes_in for worker in self.workers
-            ),
-            "batch_records_from_workers": sum(
-                worker.batch_records_in for worker in self.workers
-            ),
-        }
+        stats = {"epochs": self.epochs, "boundary_records": self.boundary_records}
         self.result = ShardedResult(self.coordinator.result, data, stats)
         shutdown_workers(self.workers)
         self.workers = []
@@ -365,9 +331,7 @@ class ShardedRun:
 
 
 def run_sharded_scenario(
-    config: ScenarioConfig, *, inline: bool = False, transport: str = "auto"
+    config: ScenarioConfig, *, inline: bool = False
 ) -> ShardedResult:
     """Build, run and merge one sharded scenario (the batch path)."""
-    return ShardedRun(
-        config, inline=inline, transport=transport
-    ).run_to_completion()
+    return ShardedRun(config, inline=inline).run_to_completion()

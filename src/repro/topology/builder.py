@@ -54,24 +54,18 @@ class Network:
         burst_coalescing: bool = True,
     ) -> None:
         # "optimized" is the tuple-heap engine from repro.sim.engine;
-        # "calendar" is the bucketed calendar queue (O(1) amortized on
-        # flood-shaped event distributions); "reference" is the
-        # pre-overhaul loop kept as a differential oracle.  All three are
-        # held to byte-identical behavior by repro check --scheduler-oracle.
+        # "reference" is the pre-overhaul loop kept as a differential
+        # oracle.  Both are held to byte-identical behavior by
+        # repro check --scheduler-oracle.
         if engine == "optimized":
             self.sim = Simulator()
-        elif engine == "calendar":
-            from repro.sim.engine_calendar import CalendarSimulator
-
-            self.sim = CalendarSimulator()
         elif engine == "reference":
             from repro.sim.engine_reference import ReferenceSimulator
 
             self.sim = ReferenceSimulator()
         else:
             raise ValueError(
-                f"unknown engine {engine!r}; choose 'optimized', 'calendar'"
-                " or 'reference'"
+                f"unknown engine {engine!r}; choose 'optimized' or 'reference'"
             )
         self.engine = engine
         self.microflow_enabled = microflow_enabled

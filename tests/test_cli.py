@@ -54,12 +54,12 @@ class TestRun:
 
     def test_engine_flag_results_identical(self, capsys):
         payloads = {}
-        for engine in ("optimized", "calendar"):
+        for engine in ("optimized", "reference"):
             assert main([
                 "run", "--duration", "10", "--engine", engine, "--json",
             ]) == 0
             payloads[engine] = json.loads(capsys.readouterr().out)
-        assert payloads["optimized"] == payloads["calendar"]
+        assert payloads["optimized"] == payloads["reference"]
 
     def test_engine_choices_enforced(self):
         with pytest.raises(SystemExit):

@@ -132,6 +132,14 @@ class TestEachEngine:
 # Randomized differential schedules: both engines must execute the exact
 # same callback sequence and finish at the same clock/counter state.
 
+# Adversarial time distributions: dense near-future, exact-tie bursts,
+# and far-future stragglers.
+adversarial_times = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.sampled_from([0.0, 0.25, 0.25, 0.5, 0.5, 0.5]),
+    st.floats(min_value=1e3, max_value=1e4, allow_nan=False),
+)
+
 schedule_ops = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
@@ -182,6 +190,78 @@ class TestDifferentialSchedules:
             for delay in ops:
                 sim.schedule(delay, lambda d=delay: spawn(0, d))
             sim.run(until=20.0)
+            return log, sim.now, sim.events_executed
+
+        assert drive(Simulator()) == drive(ReferenceSimulator())
+
+    @given(
+        ops=st.lists(
+            st.tuples(adversarial_times, st.booleans()), min_size=1, max_size=40
+        ),
+        until=st.one_of(st.none(), st.floats(0.0, 12.0, allow_nan=False)),
+        max_events=st.one_of(st.none(), st.integers(1, 30)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_adversarial_times_same_execution(self, ops, until, max_events):
+        def drive(sim):
+            log = []
+            handles = [
+                sim.schedule(delay, lambda i=i, log=log: log.append(i))
+                for i, (delay, _) in enumerate(ops)
+            ]
+            for handle, (_, cancel) in zip(handles, ops):
+                if cancel:
+                    sim.cancel(handle)
+            sim.run(until=until, max_events=max_events)
+            return log, sim.now, sim.events_executed
+
+        assert drive(Simulator()) == drive(ReferenceSimulator())
+
+    @given(
+        delays=st.lists(st.floats(0.0, 2.0, allow_nan=False),
+                        min_size=1, max_size=10),
+        generations=st.integers(1, 3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_zero_delay_self_reschedule_parity(self, delays, generations):
+        def drive(sim):
+            log = []
+
+            def spawn(tag, depth):
+                log.append((round(sim.now, 9), tag, depth))
+                if depth < generations:
+                    # Zero-delay self-reschedule: must run later this same
+                    # instant, after already-queued ties (FIFO).
+                    sim.schedule(0.0, lambda: spawn(tag, depth + 1))
+
+            for i, delay in enumerate(delays):
+                sim.schedule(delay, lambda i=i: spawn(i, 0))
+            sim.run(until=10.0)
+            return log, sim.now, sim.events_executed
+
+        assert drive(Simulator()) == drive(ReferenceSimulator())
+
+    @given(
+        ops=st.lists(st.tuples(adversarial_times, st.integers(0, 3)),
+                     min_size=1, max_size=25)
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_cancel_during_execution_parity(self, ops):
+        def drive(sim):
+            log = []
+            handles = []
+
+            def fire(i, victim):
+                log.append((round(sim.now, 9), i))
+                # Cancel a pending handle mid-run (never an executed one:
+                # that is caller error on every engine).
+                target = handles[victim % len(handles)]
+                if not target.cancelled and target.time > sim.now:
+                    sim.cancel(target)
+
+            for i, (delay, victim) in enumerate(ops):
+                handles.append(sim.schedule(delay, lambda i=i, v=victim: fire(i, v)))
+            sim.run()
             return log, sim.now, sim.events_executed
 
         assert drive(Simulator()) == drive(ReferenceSimulator())

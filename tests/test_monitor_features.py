@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
-from repro.monitor.features import FeatureExtractor
-from repro.net.headers import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN, TcpHeader, UdpHeader
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.monitor.features import FeatureExtractor, WindowFeatures
+from repro.net.flowkey import FlowKey
+from repro.net.headers import (
+    TCP_ACK,
+    TCP_FIN,
+    TCP_PSH,
+    TCP_RST,
+    TCP_SYN,
+    EthernetHeader,
+    IcmpHeader,
+    TcpHeader,
+    UdpHeader,
+)
 from repro.net.packet import Packet
 
 MAC = "00:00:00:00:00:01"
@@ -350,3 +365,139 @@ class TestAccounting:
             assert acct["folded_syn"] == acct["backend_syn_adds"] == 12
             assert acct["folded_udp"] == acct["backend_udp_adds"] == 7
             assert acct["folded_total"] == 20
+
+
+# ------------------------------------------------ fold vs naive tally
+
+_FLAG_BYTES = st.one_of(
+    st.sampled_from((
+        TCP_SYN, TCP_SYN | TCP_ACK, TCP_ACK, TCP_RST, TCP_RST | TCP_ACK,
+        TCP_FIN, TCP_FIN | TCP_ACK, TCP_SYN | TCP_FIN, TCP_SYN | TCP_RST,
+        TCP_RST | TCP_FIN, TCP_PSH | TCP_ACK, 0,
+    )),
+    st.integers(0, 255),
+)
+
+
+@st.composite
+def _frames(draw):
+    """One window of (kind, flags, src, dst, pass_key) frame specs."""
+    repeated = [f"10.0.0.{i}" for i in range(1, 4)]
+    frames = []
+    for i in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(("tcp", "tcp", "tcp", "udp", "icmp", "arp")))
+        flags = draw(_FLAG_BYTES) if kind == "tcp" else None
+        # Repeated addresses (shared tie-breaks) or a unique one per frame.
+        src = draw(st.sampled_from(repeated + [f"198.51.{i}.7"]))
+        dst = draw(st.sampled_from(repeated + [f"203.0.{i}.9"]))
+        frames.append((kind, flags, src, dst, draw(st.booleans())))
+    return frames
+
+
+def _packet(kind, flags, src, dst):
+    if kind == "tcp":
+        return tcp(flags, src, dst)
+    if kind == "udp":
+        return udp(src, dst)
+    if kind == "icmp":
+        return Packet.icmp_packet(MAC, MAC, src, dst, IcmpHeader(8))
+    return Packet(eth=EthernetHeader(MAC, MAC, 0x0806))
+
+
+def _naive_features(frames, scale, start, end) -> WindowFeatures:
+    """Per-packet tally written out longhand, independent of the fold."""
+    total = tcp_n = syn = synack = ack = rst = fin = udp_n = 0
+    sources: dict[str, int] = {}
+    syn_dsts: dict[str, int] = {}
+    udp_dsts: dict[str, int] = {}
+    for kind, flags, src, dst, _ in frames:
+        total += 1
+        if kind == "udp":
+            udp_n += 1
+            sources[src] = sources.get(src, 0) + 1
+            udp_dsts[dst] = udp_dsts.get(dst, 0) + 1
+        elif kind == "tcp":
+            tcp_n += 1
+            if flags & TCP_SYN and flags & TCP_ACK:
+                synack += 1
+            elif flags & TCP_SYN:
+                syn += 1
+                sources[src] = sources.get(src, 0) + 1
+                syn_dsts[dst] = syn_dsts.get(dst, 0) + 1
+            elif flags & TCP_ACK:
+                ack += 1
+            if flags & TCP_RST:
+                rst += 1
+            if flags & TCP_FIN:
+                fin += 1
+    n = sum(sources.values())
+    entropy = 0.0
+    if n and len(sources) > 1:
+        raw = 0.0
+        for count in sources.values():
+            p = count / n
+            raw -= p * math.log2(p)
+        entropy = raw / math.log2(len(sources))
+    top_syn = max(syn_dsts, key=syn_dsts.get) if syn_dsts else None
+    top_udp = max(udp_dsts, key=udp_dsts.get) if udp_dsts else None
+    return WindowFeatures(
+        window_start=start,
+        window_end=end,
+        total_packets=total * scale,
+        tcp_packets=tcp_n * scale,
+        syn_count=syn * scale,
+        synack_count=synack * scale,
+        ack_count=ack * scale,
+        rst_count=rst * scale,
+        fin_count=fin * scale,
+        udp_packets=udp_n * scale,
+        distinct_sources=len(sources),
+        source_entropy=entropy,
+        top_destination=top_syn,
+        top_destination_syns=syn_dsts[top_syn] * scale if top_syn else 0.0,
+        per_destination_syns={ip: c * scale for ip, c in syn_dsts.items()},
+        top_udp_destination=top_udp,
+        top_udp_destination_packets=udp_dsts[top_udp] * scale if top_udp else 0.0,
+        per_destination_udp={ip: c * scale for ip, c in udp_dsts.items()},
+    )
+
+
+class TestFoldMatchesNaiveTally:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        windows=st.lists(_frames(), min_size=1, max_size=3),
+        sampling=st.sampled_from((1.0, 0.5, 0.1, 0.3)),
+    )
+    def test_close_window_equals_per_packet_tally(self, windows, sampling):
+        fx = FeatureExtractor(sampling_probability=sampling)
+        start = 0.0
+        for i, frames in enumerate(windows):
+            for kind, flags, src, dst, pass_key in frames:
+                packet = _packet(kind, flags, src, dst)
+                key = FlowKey.from_packet(packet) if pass_key else None
+                fx.observe(packet, key)
+            end = float(i + 1)
+            assert fx.close_window(end) == _naive_features(
+                frames, 1.0 / sampling, start, end
+            )
+            start = end
+        acc = fx.accounting()
+        assert acc["pending"] == 0
+        assert acc["observed"] == acc["folded_total"]
+        assert acc["folded_syn"] == acc["backend_syn_adds"]
+        assert acc["folded_udp"] == acc["backend_udp_adds"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(windows=st.lists(_frames(), min_size=1, max_size=3))
+    def test_sketch_backend_counts_equal_tally(self, windows):
+        fx = FeatureExtractor(backend="sketch", sketch_width=64)
+        for i, frames in enumerate(windows):
+            for kind, flags, src, dst, _ in frames:
+                fx.observe(_packet(kind, flags, src, dst))
+            got = fx.close_window(float(i + 1))
+            want = _naive_features(frames, 1.0, 0.0, 0.0)
+            for name in (
+                "total_packets", "tcp_packets", "syn_count", "synack_count",
+                "ack_count", "rst_count", "fin_count", "udp_packets",
+            ):
+                assert getattr(got, name) == getattr(want, name), name

@@ -233,7 +233,7 @@ class TestSketchSourceStats:
 class TestHashMemoization:
     """The LRU memoizes *derived* per-key values only, so sketch contents
     are byte-identical with the cache on, off, or thrashing — the golden
-    contract that keeps fingerprints transport- and cache-invariant."""
+    contract that keeps fingerprints cache-invariant."""
 
     def test_cms_rows_identical_with_and_without_cache(self):
         cached = CountMinSketch(width=128, depth=4, seed=9, cache_size=16)
@@ -284,6 +284,86 @@ class TestHashMemoization:
         assert len(cms._cache.data) <= 4
         for key in keys:
             assert cms.estimate(key) >= 3
+
+
+# ------------------------------------------- bulk adds match sequential adds
+
+# Adversarial key distributions: a wide pool (draws are mostly
+# first-touch), a two-key pool (all-repeat), and a unicode pool.
+_KEY_POOLS = (
+    tuple(f"10.{i // 65536}.{(i // 256) % 256}.{i % 256}" for i in range(4000)),
+    ("10.1.0.1", "10.1.0.2"),
+    tuple(f"πρξ-{i}·☃" for i in range(64)),
+)
+
+
+@st.composite
+def _key_counts(draw) -> dict[str, int]:
+    """A first-touch-ordered key -> amount dict."""
+    pool = draw(st.sampled_from(_KEY_POOLS))
+    keys = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=120))
+    counts: dict[str, int] = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + draw(st.integers(1, 1000))
+    return counts
+
+
+class TestBulkMatchesSequential:
+    """The window fold feeds sketches through ``add_bulk``; its state must
+    equal sequential ``add`` calls over the same (key, amount) pairs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=_key_counts(),
+        seed=st.integers(0, 2**16),
+        cache_size=st.sampled_from((0, 4, 256)),
+    )
+    def test_cms_bulk_matches_sequential_adds_bytewise(
+        self, counts, seed, cache_size
+    ):
+        # width=64 forces slot collisions, so later keys' estimates
+        # depend on earlier keys' adds within the same bulk call.
+        reference = CountMinSketch(width=64, depth=4, seed=seed, cache_size=0)
+        ref_ests = [reference.add(k, c) for k, c in counts.items()]
+        sketch = CountMinSketch(width=64, depth=4, seed=seed, cache_size=cache_size)
+        assert sketch.add_bulk(counts) == ref_ests
+        assert sketch.total == reference.total
+        assert [r.tobytes() for r in sketch._rows] == [
+            r.tobytes() for r in reference._rows
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=_key_counts(), seed=st.integers(0, 2**16))
+    def test_heavy_hitter_bulk_state_matches_sequential(self, counts, seed):
+        reference = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
+        ref_ests = [reference.add(k, c) for k, c in counts.items()]
+        sketch = HeavyHitterSketch(width=64, depth=4, topk=4, seed=seed)
+        assert sketch.add_bulk(counts) == ref_ests
+        assert list(sketch._candidates.items()) == list(
+            reference._candidates.items()
+        )
+        assert sketch.top() == reference.top()
+        assert [r.tobytes() for r in sketch.cms._rows] == [
+            r.tobytes() for r in reference.cms._rows
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(
+            st.sampled_from(_KEY_POOLS[0] + _KEY_POOLS[2]), max_size=150
+        ),
+        seed=st.integers(0, 2**16),
+        cache_size=st.sampled_from((0, 4, 256)),
+    )
+    def test_hll_bulk_registers_match_sequential(self, keys, seed, cache_size):
+        reference = HyperLogLog(precision=8, seed=seed, cache_size=0)
+        for key in keys:
+            reference.add(key)
+        hll = HyperLogLog(precision=8, seed=seed, cache_size=cache_size)
+        hll.add_bulk(keys)
+        assert bytes(hll._registers) == bytes(reference._registers)
+        assert hll.total == reference.total
+        assert hll.estimate() == reference.estimate()
 
 
 # ------------------------------------------------- property-based bounds

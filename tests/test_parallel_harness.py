@@ -9,10 +9,15 @@ package per process.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.harness.experiments import run_e1_response_time
 from repro.harness.parallel import (
+    pool_transport_stats,
+    reset_pool_transport_stats,
     resolve_workers,
     run_scenarios,
     run_tasks,
@@ -47,6 +52,12 @@ def _add(a: int, b: int) -> int:
 
 def _boom(x: int) -> int:
     raise ValueError(f"boom {x}")
+
+
+def _die_in_worker(x: int) -> int:
+    if multiprocessing.parent_process() is not None:
+        os._exit(13)
+    return x
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +110,29 @@ class TestRunTasks:
             retries=0,
         )
         assert results == [2, 4]
+
+    def test_retries_then_serial_fallback(self):
+        results = run_tasks(
+            _add,
+            [{"a": 3, "b": 4}, {"a": 5, "b": 6}],
+            workers=2,
+            timeout_s=0.0001,
+            retries=2,
+        )
+        assert results == [7, 11]
+
+    def test_worker_death_falls_back_serially(self):
+        # Workers hard-exit mid-task (BrokenProcessPool): the pool is torn
+        # down and every task completes in-process, in order.
+        results = run_tasks(_die_in_worker, [{"x": 1}, {"x": 2}, {"x": 3}], workers=2)
+        assert results == [1, 2, 3]
+
+    def test_pool_results_are_tallied(self):
+        reset_pool_transport_stats()
+        run_tasks(_add, [{"a": i, "b": 1} for i in range(3)], workers=2)
+        stats = pool_transport_stats()
+        assert stats.pickle_results == 3
+        assert stats.shm_bytes == 0
 
 
 class TestRunScenarios:

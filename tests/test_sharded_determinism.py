@@ -86,9 +86,9 @@ def test_parity_udp_attack_udp_detector():
     )
 
 
-def test_parity_on_calendar_engine():
+def test_parity_on_reference_engine():
     # The oracle matrix axis: sharding composes with the scheduler swap.
-    _assert_parity(_config(engine="calendar"), shard_counts=(2,))
+    _assert_parity(_config(engine="reference"), shard_counts=(2,))
 
 
 def test_parity_with_real_worker_processes():
