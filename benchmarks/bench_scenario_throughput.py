@@ -1,8 +1,8 @@
 """Scenario throughput: packets simulated per second at flood scale.
 
-The allocation fast path (packet pooling, header templates, coalesced
-burst scheduling) exists to make flood-scale scenarios cheap, so this
-benchmark measures exactly that on two shapes:
+The allocation fast path (header templates, coalesced burst scheduling)
+exists to make flood-scale scenarios cheap, so this benchmark measures
+exactly that on two shapes:
 
 * an E5-style SYN flood on a linear switch chain, where the reactive
   punt-and-flood cascade (every spoofed 5-tuple misses the flow table)
@@ -11,29 +11,18 @@ benchmark measures exactly that on two shapes:
   inspector consumes wire bytes for every mirrored frame and the
   template's pre-packed frames pay off end to end.
 
-Each shape is timed with the fast path on (the shipped default) and off
-(the ``pooling=False`` / ``burst_coalescing=False`` escape hatch).  All
-cases report ``packets_per_second`` — every frame serialized onto any
-link counts once — via ``extra_info``, and the committed slim baseline
-gates the fast-path medians like the other M1 benchmarks.
+Both cases report ``packets_per_second`` — every frame serialized onto
+any link counts once — via ``extra_info``, and the committed slim
+baseline gates their medians like the other M1 benchmarks.
 
-The on/off delta understates the PR that introduced the fast path:
-several of its optimizations (vectorized RFC 1071 checksums, memoized
-address codecs, dict-copy packet cloning) are unconditional, so the
-escape hatch also benefits from them.  ``_PREPR_BASELINE`` therefore
-records the medians of the *pre-PR* tree measured on the same machine,
-interleaved run-for-run with the post-PR tree in the same session; the
-ON cases publish their speedup against it in ``extra_info`` so the
-committed baseline carries the honest before/after number.
-
-A non-benchmark companion test asserts each on/off pair produces
-byte-identical fingerprints — the speedup must never buy a different
-simulation.
+``_PREPR_BASELINE`` records the medians of the tree just before the
+fast path landed, measured on the same machine interleaved run-for-run
+with the tree that introduced it; each case publishes its speedup
+against it in ``extra_info``.
 """
 
 from __future__ import annotations
 
-from repro.harness.fuzzer import fingerprint_json
 from repro.harness.scenario import ScenarioConfig, ScenarioResult, run_scenario
 from repro.workload.profiles import WorkloadConfig
 
@@ -48,7 +37,7 @@ _PREPR_BASELINE = {
 }
 
 
-def _syn_flood_config(pooling: bool, burst: bool) -> ScenarioConfig:
+def _syn_flood_config() -> ScenarioConfig:
     """E5-style SYN flood: 4-switch linear chain, two 5000-pps attackers."""
     return ScenarioConfig(
         topology="linear",
@@ -59,12 +48,10 @@ def _syn_flood_config(pooling: bool, burst: bool) -> ScenarioConfig:
         duration_s=2.5,
         defense="spi",
         seed=5,
-        pooling=pooling,
-        burst_coalescing=burst,
     )
 
 
-def _udp_flood_config(pooling: bool, burst: bool) -> ScenarioConfig:
+def _udp_flood_config() -> ScenarioConfig:
     """UDP volumetric flood under SPI: every mirrored frame is re-parsed."""
     return ScenarioConfig(
         topology="linear",
@@ -76,8 +63,6 @@ def _udp_flood_config(pooling: bool, burst: bool) -> ScenarioConfig:
         defense="spi",
         detector="udp-rate",
         seed=7,
-        pooling=pooling,
-        burst_coalescing=burst,
     )
 
 
@@ -90,7 +75,7 @@ def _packets_simulated(result: ScenarioResult) -> int:
     )
 
 
-def _run_throughput(benchmark, config: ScenarioConfig, shape: str | None) -> None:
+def _run_throughput(benchmark, config: ScenarioConfig, shape: str) -> None:
     result = benchmark.pedantic(run_scenario, args=(config,), rounds=3, iterations=1)
     packets = _packets_simulated(result)
     assert packets > 50_000, "flood scenario did not reach flood scale"
@@ -98,38 +83,19 @@ def _run_throughput(benchmark, config: ScenarioConfig, shape: str | None) -> Non
     pps = packets / median
     benchmark.extra_info["packets_simulated"] = packets
     benchmark.extra_info["packets_per_second"] = round(pps, 1)
-    if shape is not None:
-        prepr = _PREPR_BASELINE[shape]
-        benchmark.extra_info["prepr_commit"] = _PREPR_BASELINE["commit"]
-        benchmark.extra_info["prepr_median_s"] = prepr["median_s"]
-        benchmark.extra_info["speedup_vs_prepr"] = round(
-            pps / prepr["packets_per_second"], 2
-        )
+    prepr = _PREPR_BASELINE[shape]
+    benchmark.extra_info["prepr_commit"] = _PREPR_BASELINE["commit"]
+    benchmark.extra_info["prepr_median_s"] = prepr["median_s"]
+    benchmark.extra_info["speedup_vs_prepr"] = round(
+        pps / prepr["packets_per_second"], 2
+    )
 
 
 def test_scenario_throughput_synflood(benchmark):
-    """SYN flood, fast path on (the shipped default)."""
-    _run_throughput(benchmark, _syn_flood_config(True, True), "synflood")
-
-
-def test_scenario_throughput_synflood_fastpath_off(benchmark):
-    """SYN flood with the pooling/bursting escape hatch engaged."""
-    _run_throughput(benchmark, _syn_flood_config(False, False), None)
+    """SYN flood on a 4-switch chain."""
+    _run_throughput(benchmark, _syn_flood_config(), "synflood")
 
 
 def test_scenario_throughput_udpflood(benchmark):
-    """UDP flood under SPI, fast path on (the shipped default)."""
-    _run_throughput(benchmark, _udp_flood_config(True, True), "udpflood")
-
-
-def test_scenario_throughput_udpflood_fastpath_off(benchmark):
-    """UDP flood with the pooling/bursting escape hatch engaged."""
-    _run_throughput(benchmark, _udp_flood_config(False, False), None)
-
-
-def test_fastpath_fingerprint_identical():
-    """The timed variants above simulate byte-identical traffic."""
-    for make in (_syn_flood_config, _udp_flood_config):
-        fast = fingerprint_json(run_scenario(make(True, True)))
-        slow = fingerprint_json(run_scenario(make(False, False)))
-        assert fast == slow, f"fast path changed the simulation for {make.__name__}"
+    """UDP flood under SPI."""
+    _run_throughput(benchmark, _udp_flood_config(), "udpflood")

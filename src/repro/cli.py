@@ -6,7 +6,7 @@ Subcommands::
     python -m repro run --topology dumbbell --defense spi --rate 400
     python -m repro experiment e1 [--quick] [--markdown] [--workers N] [--cache]
     python -m repro cache info|clear
-    python -m repro check [--seeds 25] [--parallel-oracle] [--scheduler-oracle]
+    python -m repro check [--seeds 25] [--oracle parallel|sharded|serve|sketch ...]
     python -m repro serve [--port 8089]       # long-running control-plane service
     python -m repro ctl status|launch|retune|block|drain ...   # talk to it
 
@@ -19,8 +19,9 @@ cache (:mod:`repro.harness.cache`; ``cache info``/``cache clear`` manage
 the store); ``check`` runs the differential fuzzer from
 :mod:`repro.harness.fuzzer`, asserting that every seeded scenario
 produces byte-identical metrics on the optimized and reference
-implementations — and, with ``--scheduler-oracle``, through the
-sharded epoch protocol — with runtime invariant checking enabled.
+implementations — and, with ``--oracle NAME``, through each named lane of
+:data:`repro.harness.fuzzer.ORACLES` — with runtime invariant checking
+enabled.
 ``run`` and ``experiment`` both accept ``--check-invariants`` to enable
 the :mod:`repro.sim.invariants` sweeps during normal runs.
 
@@ -30,7 +31,7 @@ blocked/whitelisted and drained over a local HTTP/JSON API while they
 simulate in bounded slices.  ``ctl`` is the thin client: ``status``
 (``--json`` for the stable machine schema), ``launch``, ``retune``,
 ``block``/``unblock``, ``whitelist``/``unwhitelist``, ``drain``,
-``result``, ``delete`` and ``shutdown``.  ``check --serve-oracle``
+``result``, ``delete`` and ``shutdown``.  ``check --oracle serve``
 asserts that an unmutated hosted session fingerprints byte-identically
 to the batch path.
 """
@@ -44,6 +45,7 @@ import sys
 from typing import Sequence
 
 from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.fuzzer import ORACLES
 from repro.harness.scenario import (
     DEFENSES,
     ENGINES,
@@ -78,6 +80,17 @@ QUICK_ARGS: dict[str, dict] = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -110,12 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--check-invariants", action="store_true",
                      help="run periodic runtime invariant sweeps; violations "
                           "abort the run with a counterexample trace")
-    run.add_argument("--no-pooling", action="store_true",
-                     help="disable the packet shell pool (allocation fast "
-                          "path escape hatch; results are identical)")
-    run.add_argument("--no-burst-coalescing", action="store_true",
-                     help="schedule every generated packet as its own event "
-                          "instead of coalesced bursts (results identical)")
     run.add_argument("--monitor-backend", default="exact",
                      choices=("exact", "sketch"),
                      help="monitor feature backend: exact per-address dicts "
@@ -239,33 +246,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "check",
         help="differential fuzzer: optimized vs reference implementations",
     )
-    check.add_argument("--seeds", type=int, default=25, metavar="N",
+    check.add_argument("--seeds", type=_positive_int, default=25, metavar="N",
                        help="number of fuzz seeds to run (default: 25)")
     check.add_argument("--base-seed", type=int, default=0, metavar="S",
                        help="first seed of the range (default: 0)")
-    check.add_argument("--parallel-oracle", action="store_true",
-                       help="additionally recompute every optimized run "
-                            "through the process-pool harness and compare")
-    check.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker count for the parallel oracle (default: 2)")
-    check.add_argument("--fastpath-oracle", action="store_true",
-                       help="additionally run every seed with packet pooling "
-                            "and burst coalescing disabled, on both engines, "
-                            "and require byte-identical fingerprints")
-    check.add_argument("--scheduler-oracle", action="store_true",
-                       help="additionally run every seed through the sharded "
-                            "epoch protocol at 1, 2 and 4 shards and require "
-                            "heap x reference x sharded fingerprints to be "
-                            "byte-identical")
-    check.add_argument("--serve-oracle", action="store_true",
-                       help="additionally host every seed in a control-plane "
-                            "session stepped in bounded slices and require a "
-                            "fingerprint byte-identical to the batch path")
-    check.add_argument("--sketch-oracle", action="store_true",
-                       help="additionally shadow every seed's monitors with "
-                            "the sketch feature backend, assert estimator "
-                            "error bounds per window, and re-run the scenario "
-                            "in sketch mode under invariant sweeps")
+    check.add_argument("--oracle", action="append", default=[],
+                       choices=list(ORACLES), metavar="NAME",
+                       help="additionally run an oracle lane (repeatable): "
+                            "parallel (process-pool harness), sharded "
+                            "(1, 2 and 4 shards), serve (hosted session in "
+                            "bounded slices), sketch (estimator error bounds "
+                            "plus a sketch-mode run)")
+    check.add_argument("--workers", type=_positive_int, default=2, metavar="N",
+                       help="worker count for the parallel lane (default: 2)")
     check.add_argument("--json", action="store_true",
                        help="machine-readable per-seed report")
     return parser
@@ -301,8 +294,6 @@ def _command_run(args: argparse.Namespace) -> int:
             engine=args.engine,
             shards=args.shards,
             check_invariants=args.check_invariants,
-            pooling=not args.no_pooling,
-            burst_coalescing=not args.no_burst_coalescing,
             workload=WorkloadConfig(
                 attack_rate_pps=args.rate, attack_start_s=args.attack_start
             ),
@@ -422,12 +413,8 @@ def _command_check(args: argparse.Namespace) -> int:
     report = run_fuzz_suite(
         n_seeds=args.seeds,
         base_seed=args.base_seed,
-        parallel_oracle=args.parallel_oracle,
+        oracles=args.oracle,
         workers=args.workers,
-        fastpath_oracle=args.fastpath_oracle,
-        scheduler_oracle=args.scheduler_oracle,
-        serve_oracle=args.serve_oracle,
-        sketch_oracle=args.sketch_oracle,
         progress=None if args.json else lambda o: print(describe_outcome(o)),
     )
     failed = [o for o in report.outcomes if not o.matched]
@@ -438,29 +425,18 @@ def _command_check(args: argparse.Namespace) -> int:
             "failures": [
                 {"seed": o.seed, "detail": o.detail} for o in failed
             ],
-            "parallel_oracle": report.parallel_matched,
-            "serve_oracle": report.serve_matched,
-            "sketch_oracle": report.sketch_matched,
+            "oracles": report.oracles,
             "passed": report.passed,
         }, indent=2))
     else:
         verdict = "PASS" if report.passed else "FAIL"
-        oracle = (
-            "" if report.parallel_matched is None
-            else f", parallel oracle {'ok' if report.parallel_matched else 'MISMATCH'}"
+        lanes = "".join(
+            f", {name} oracle {'ok' if ok else 'FAIL'}"
+            for name, ok in report.oracles.items()
         )
-        if report.serve_matched is not None:
-            oracle += (
-                f", serve oracle {'ok' if report.serve_matched else 'MISMATCH'}"
-            )
-        if report.sketch_matched is not None:
-            oracle += (
-                f", sketch oracle "
-                f"{'ok' if report.sketch_matched else 'OUT OF BOUNDS'}"
-            )
         print(
             f"{verdict}: {len(report.outcomes) - len(failed)}/"
-            f"{len(report.outcomes)} seeds byte-identical{oracle}"
+            f"{len(report.outcomes)} seeds byte-identical{lanes}"
         )
     return 0 if report.passed else 1
 

@@ -1,32 +1,28 @@
 """Deterministic scenario fuzzer and differential oracle.
 
 The optimized fast paths (microflow cache, tuple-heap event loop,
-process-pool fan-out, packet pooling, burst-coalesced traffic
-generation) must be *strategy-invisible*: running the same seeded
-scenario on the reference event loop, with the cache disabled, with the
-allocation fast path off, or across a different worker count has to
-yield byte-identical metrics.  This module generates
-randomized-but-seeded scenarios (topology, workload, attack mix,
-defense) and asserts exactly that:
+process-pool fan-out, sharded execution, hosted sessions) must be
+*strategy-invisible*: running the same seeded scenario on the reference
+event loop, with the cache disabled, across a different worker or shard
+count, or stepped in service slices has to yield byte-identical
+metrics.  This module generates randomized-but-seeded scenarios
+(topology, workload, attack mix, defense) and asserts exactly that:
 
 * ``generate_scenario(seed)`` — a deterministic scenario drawn from a
   seeded RNG, with invariant checking enabled;
-* ``run_differential(seed)`` — the scenario run twice, optimized vs
-  reference (:mod:`repro.sim.engine_reference` + linear-scan-only flow
-  tables), compared as canonical JSON; with ``fastpath_oracle`` it runs
-  four times, additionally flipping pooling + burst coalescing off on
-  both engines; with ``scheduler_oracle`` it also runs through the
-  sharded epoch protocol at 1, 2 and 4 shards;
-* ``run_fuzz_suite(...)`` — the CI entry point behind ``repro check``,
-  optionally adding the serial-vs-parallel harness oracle.
+* ``run_differential(seed)`` — the reference lane: the scenario run
+  twice, optimized vs reference (:mod:`repro.sim.engine_reference` +
+  linear-scan-only flow tables), compared as canonical JSON;
+* :data:`ORACLES` — the optional lanes (``parallel``, ``sharded``,
+  ``serve``, ``sketch``), each checked over the reference lane's rows;
+* ``run_fuzz_suite(...)`` — the CI entry point behind ``repro check``.
 
 The fingerprint intentionally covers every counter the metrics layer
 reads (detections, service quality, switch/link/stack/DPI counters,
 trace categories) and excludes only what legitimately differs between
 strategies: the ``microflow_*`` counters (cache off) and the raw event
-count (burst coalescing replaces N per-arrival heap entries with batch
-wake-ups, so the count of executed events is a property of the schedule
-encoding, not of the simulated traffic).
+count (a property of the schedule encoding, not of the simulated
+traffic).
 """
 
 from __future__ import annotations
@@ -35,8 +31,8 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional, Sequence
 
 from repro.harness.scenario import (
     FlashCrowdSpec,
@@ -53,13 +49,13 @@ __all__ = [
     "generate_scenario",
     "reference_variant",
     "sharded_variant",
-    "fastpath_variant",
     "fingerprint",
     "fingerprint_json",
     "run_differential",
     "run_serve_differential",
     "run_sketch_differential",
     "run_fuzz_suite",
+    "ORACLES",
     "DifferentialOutcome",
     "FuzzSuiteReport",
 ]
@@ -123,12 +119,6 @@ def generate_scenario(seed: int) -> ScenarioConfig:
         syn_cookies=rng.random() < 0.25,
         flash_crowd=flash_crowd,
         check_invariants=True,
-        # Drawn last so these knobs never shift the draws above (existing
-        # seeds keep their scenario shapes).  Mixing settings here gives
-        # the plain differential sweep fast-path coverage for free; the
-        # dedicated fastpath oracle below flips them explicitly.
-        pooling=rng.random() < 0.75,
-        burst_coalescing=rng.random() < 0.75,
     )
 
 
@@ -140,11 +130,6 @@ def reference_variant(config: ScenarioConfig) -> ScenarioConfig:
 def sharded_variant(config: ScenarioConfig, shards: int) -> ScenarioConfig:
     """The same scenario partitioned across ``shards`` engines."""
     return replace(config, shards=shards)
-
-
-def fastpath_variant(config: ScenarioConfig) -> ScenarioConfig:
-    """The same scenario with the allocation fast path fully disabled."""
-    return replace(config, pooling=False, burst_coalescing=False)
 
 
 def fingerprint(result: ScenarioResult) -> dict[str, Any]:
@@ -225,22 +210,19 @@ class DifferentialOutcome:
 
 @dataclass(frozen=True)
 class FuzzSuiteReport:
-    """Aggregate of a fuzz run (what ``repro check`` prints)."""
+    """Aggregate of a fuzz run (what ``repro check`` prints).
+
+    ``outcomes`` are the reference lane's rows; ``oracles`` maps each
+    optional lane that ran to whether it passed.
+    """
 
     outcomes: tuple[DifferentialOutcome, ...]
-    parallel_matched: Optional[bool] = None
-    serve_matched: Optional[bool] = None
-    sketch_matched: Optional[bool] = None
+    oracles: dict[str, bool] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        """True when every oracle agreed and no invariant fired."""
-        return (
-            all(o.matched for o in self.outcomes)
-            and self.parallel_matched is not False
-            and self.serve_matched is not False
-            and self.sketch_matched is not False
-        )
+        """True when every outcome matched and every lane passed."""
+        return all(o.matched for o in self.outcomes) and all(self.oracles.values())
 
 
 def _diff_summary(a: str, b: str) -> str:
@@ -252,67 +234,41 @@ def _diff_summary(a: str, b: str) -> str:
     return "fingerprints differ only in formatting"
 
 
-def run_differential(
-    seed: int,
-    fastpath_oracle: bool = False,
-    scheduler_oracle: bool = False,
+def _compared(
+    row: DifferentialOutcome, name: str, fp: str
 ) -> DifferentialOutcome:
-    """Run one generated scenario on both engines and compare.
+    """``row``'s optimized fingerprint held against one lane's ``fp``."""
+    if fp == row.optimized:
+        return replace(row, matched=True, reference=fp)
+    return replace(
+        row, matched=False, reference=fp,
+        detail=f"{name} diverged: {_diff_summary(row.optimized, fp)}",
+    )
 
-    With ``fastpath_oracle`` the scenario additionally runs with packet
-    pooling and burst coalescing forced off — on both engines — and all
-    four fingerprints must be byte-identical.  With ``scheduler_oracle``
-    it also runs through the sharded coordinator at 1, 2 and 4 shards
-    (inline workers, full epoch/batch protocol), holding the heap,
-    reference and sharded schedulers to one fingerprint.
+
+def run_differential(seed: int) -> DifferentialOutcome:
+    """The reference lane: one generated scenario on both engines.
+
+    The optimized run (tuple heap, microflow cache) and the reference
+    run (:mod:`repro.sim.engine_reference`, linear-scan flow tables) must
+    fingerprint byte-identically with invariant sweeps on.
     """
     config = generate_scenario(seed)
-    variants: list[tuple[str, ScenarioConfig]] = [
-        ("reference", reference_variant(config)),
-    ]
-    if scheduler_oracle:
-        for shards in (1, 2, 4):
-            variants.append(
-                (f"sharded-{shards}", sharded_variant(config, shards))
-            )
-    if fastpath_oracle:
-        slow = fastpath_variant(config)
-        variants.append(("fastpath-off", slow))
-        variants.append(("reference+fastpath-off", reference_variant(slow)))
-
-    def _run_variant(name: str, variant: ScenarioConfig) -> str:
-        if name.startswith("sharded"):
-            from repro.sim.sharded.coordinator import run_sharded_scenario
-
-            return fingerprint_json(run_sharded_scenario(variant, inline=True))
-        return fingerprint_json(run_scenario(variant))
-
     try:
         optimized = fingerprint_json(run_scenario(config))
-        others = [
-            (name, _run_variant(name, variant)) for name, variant in variants
-        ]
+        reference = fingerprint_json(run_scenario(reference_variant(config)))
     except InvariantViolation as violation:
         return DifferentialOutcome(
             seed=seed, config=config, matched=False,
             detail=f"invariant violation: {violation}",
         )
-    reference = others[0][1]
-    for name, fp in others:
-        if fp != optimized:
-            return DifferentialOutcome(
-                seed=seed, config=config, matched=False,
-                detail=f"{name} diverged: {_diff_summary(optimized, fp)}",
-                optimized=optimized, reference=fp,
-            )
-    return DifferentialOutcome(
-        seed=seed, config=config, matched=True,
-        optimized=optimized, reference=reference,
-    )
+    row = DifferentialOutcome(seed=seed, config=config, matched=True,
+                              optimized=optimized)
+    return _compared(row, "reference", reference)
 
 
 def run_serve_differential(seed: int, optimized: str = "") -> DifferentialOutcome:
-    """One seed's batch-vs-served comparison (``--serve-oracle``).
+    """One seed's batch-vs-served comparison (the ``serve`` lane).
 
     The scenario is hosted in a control-plane :class:`Session` and
     stepped in bounded slices — slice length and event budget drawn from
@@ -467,7 +423,7 @@ def _check_window_pair(
 
 
 def run_sketch_differential(seed: int) -> DifferentialOutcome:
-    """One seed's exact-vs-sketch estimator comparison (``--sketch-oracle``).
+    """One seed's exact-vs-sketch estimator comparison (the ``sketch`` lane).
 
     The generated scenario runs once with every monitor's extractor
     shadow-paired: the exact backend drives detection (so the run is the
@@ -553,84 +509,114 @@ def run_sketch_differential(seed: int) -> DifferentialOutcome:
     )
 
 
+def _parallel_lane(
+    rows: Sequence[DifferentialOutcome], workers: int
+) -> list[DifferentialOutcome]:
+    """Recompute every optimized run through the spawn-pool harness.
+
+    Configs ship to ``workers`` processes via
+    :mod:`repro.harness.serialize`; each pooled fingerprint must match
+    the in-process one byte for byte.
+    """
+    from repro.harness.parallel import run_tasks
+    from repro.harness.serialize import config_to_dict
+
+    rows = [row for row in rows if row.optimized]
+    tasks = [{"config_data": config_to_dict(row.config)} for row in rows]
+    pooled = run_tasks(_fingerprint_worker, tasks, workers=workers)
+    compared = (_compared(row, "parallel", fp) for row, fp in zip(rows, pooled))
+    return [outcome for outcome in compared if not outcome.matched]
+
+
+def _sharded_lane(
+    rows: Sequence[DifferentialOutcome], workers: int
+) -> list[DifferentialOutcome]:
+    """Run every seed through the sharded epoch protocol at 1, 2 and 4 shards.
+
+    Inline workers, full epoch/batch protocol: the heap, reference and
+    sharded schedulers are held to one fingerprint.
+    """
+    from repro.sim.sharded.coordinator import run_sharded_scenario
+
+    failures = []
+    for row in rows:
+        if not row.optimized:
+            continue
+        for shards in (1, 2, 4):
+            try:
+                fp = fingerprint_json(run_sharded_scenario(
+                    sharded_variant(row.config, shards), inline=True
+                ))
+            except InvariantViolation as violation:
+                failures.append(replace(
+                    row, matched=False,
+                    detail=f"sharded-{shards} invariant violation: {violation}",
+                ))
+                break
+            outcome = _compared(row, f"sharded-{shards}", fp)
+            if not outcome.matched:
+                failures.append(outcome)
+                break
+    return failures
+
+
+def _serve_lane(
+    rows: Sequence[DifferentialOutcome], workers: int
+) -> list[DifferentialOutcome]:
+    """Host every seed in a session; see :func:`run_serve_differential`."""
+    served = (run_serve_differential(row.seed, optimized=row.optimized) for row in rows)
+    return [outcome for outcome in served if not outcome.matched]
+
+
+def _sketch_lane(
+    rows: Sequence[DifferentialOutcome], workers: int
+) -> list[DifferentialOutcome]:
+    """Exact-vs-sketch bounds per seed; see :func:`run_sketch_differential`."""
+    sketched = (run_sketch_differential(row.seed) for row in rows)
+    return [outcome for outcome in sketched if not outcome.matched]
+
+
+#: The optional oracle lanes of ``repro check``, by name.  Each lane takes
+#: the reference lane's rows (seed, config, optimized fingerprint) and the
+#: worker count, and returns its failing outcomes.
+ORACLES: dict[
+    str,
+    Callable[[Sequence[DifferentialOutcome], int], list[DifferentialOutcome]],
+] = {
+    "parallel": _parallel_lane,
+    "sharded": _sharded_lane,
+    "serve": _serve_lane,
+    "sketch": _sketch_lane,
+}
+
+
 def run_fuzz_suite(
     n_seeds: int = 25,
     base_seed: int = 0,
-    parallel_oracle: bool = False,
+    oracles: Sequence[str] = (),
     workers: int = 2,
-    fastpath_oracle: bool = False,
-    scheduler_oracle: bool = False,
-    serve_oracle: bool = False,
-    sketch_oracle: bool = False,
     progress: Optional[Callable[[DifferentialOutcome], None]] = None,
 ) -> FuzzSuiteReport:
     """The full differential sweep: ``n_seeds`` scenarios, two engines each.
 
-    With ``parallel_oracle`` the optimized fingerprints are additionally
-    recomputed through the spawn-pool harness (``workers`` processes,
-    configs shipped via :mod:`repro.harness.serialize`) and must match
-    the in-process results byte for byte.  With ``fastpath_oracle`` each
-    seed also runs with pooling + burst coalescing off on both engines
-    (four runs per seed).  With ``scheduler_oracle`` each seed also runs
-    through the sharded epoch protocol at 1, 2 and 4 shards (heap ×
-    reference × sharded identity).
-    With ``serve_oracle`` each seed is re-run hosted in a control-plane
-    session, stepped in seed-dependent bounded slices, and must
-    fingerprint byte-identically to the batch path.  With
-    ``sketch_oracle`` each seed runs the exact-vs-sketch estimator
-    comparison of :func:`run_sketch_differential` plus a full sketch-mode
-    run under invariant sweeps.
+    The reference lane always runs; every lane named in ``oracles`` (keys
+    of :data:`ORACLES`) then runs over its rows, and ``progress`` sees
+    each reference outcome and each lane failure.
     """
-    seeds = range(base_seed, base_seed + n_seeds)
     outcomes: list[DifferentialOutcome] = []
-    for seed in seeds:
-        outcome = run_differential(
-            seed,
-            fastpath_oracle=fastpath_oracle,
-            scheduler_oracle=scheduler_oracle,
-        )
+    for seed in range(base_seed, base_seed + n_seeds):
+        outcome = run_differential(seed)
         outcomes.append(outcome)
         if progress is not None:
             progress(outcome)
-    parallel_matched: Optional[bool] = None
-    if parallel_oracle and outcomes:
-        from repro.harness.parallel import run_tasks
-        from repro.harness.serialize import config_to_dict
-
-        tasks = [
-            {"config_data": config_to_dict(outcome.config)} for outcome in outcomes
-        ]
-        pooled = run_tasks(_fingerprint_worker, tasks, workers=workers)
-        parallel_matched = all(
-            outcome.optimized == "" or outcome.optimized == fp
-            for outcome, fp in zip(outcomes, pooled)
-        )
-    serve_matched: Optional[bool] = None
-    if serve_oracle and outcomes:
-        serve_matched = True
-        for outcome in outcomes:
-            served = run_serve_differential(
-                outcome.seed, optimized=outcome.optimized
-            )
-            if not served.matched:
-                serve_matched = False
-                if progress is not None:
-                    progress(served)
-    sketch_matched: Optional[bool] = None
-    if sketch_oracle:
-        sketch_matched = True
-        for seed in seeds:
-            sketched = run_sketch_differential(seed)
-            if not sketched.matched:
-                sketch_matched = False
-                if progress is not None:
-                    progress(sketched)
-    return FuzzSuiteReport(
-        outcomes=tuple(outcomes),
-        parallel_matched=parallel_matched,
-        serve_matched=serve_matched,
-        sketch_matched=sketch_matched,
-    )
+    verdicts: dict[str, bool] = {}
+    for name in dict.fromkeys(oracles):
+        failures = ORACLES[name](outcomes, workers)
+        verdicts[name] = not failures
+        if progress is not None:
+            for failure in failures:
+                progress(failure)
+    return FuzzSuiteReport(outcomes=tuple(outcomes), oracles=verdicts)
 
 
 def describe_outcome(outcome: DifferentialOutcome) -> str:

@@ -13,7 +13,7 @@ bounded slices while the batch path stays a single call:
   invariant sweep once the clock has reached the configured duration;
 * ``run_scenario`` is build + one uninterrupted ``net.run`` + finish —
   byte-identical to a served session that received no runtime
-  mutations (asserted by ``repro check --serve-oracle``).
+  mutations (asserted by ``repro check --oracle serve``).
 
 ``ScenarioResult`` carries uniform accessors for the quantities every
 experiment reports: detection times, benign service quality per phase,
@@ -126,14 +126,10 @@ class ScenarioConfig:
     check_invariants: bool = False
     invariant_period_s: float = 0.5
     # Execution-strategy knobs the differential oracle flips: the event
-    # loop implementation, the flow-table microflow cache, and the
-    # allocation fast path (packet pooling + burst-coalesced traffic
-    # generation).  None may change any metric; repro check verifies
-    # exactly that.
+    # loop implementation and the flow-table microflow cache.  Neither
+    # may change any metric; repro check verifies exactly that.
     engine: str = "optimized"
     microflow_cache: bool = True
-    pooling: bool = True
-    burst_coalescing: bool = True
     # Multi-process domain decomposition (repro.sim.sharded): 1 runs the
     # classic single-process path, N > 1 partitions the topology across
     # N engines synchronized by conservative lookahead.  Fingerprints
@@ -317,10 +313,6 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
         extra["engine"] = config.engine
     if not config.microflow_cache:
         extra["microflow_enabled"] = False
-    if not config.pooling:
-        extra["pooling"] = False
-    if not config.burst_coalescing:
-        extra["burst_coalescing"] = False
     if config.link_loss_probability > 0:
         from repro.topology.builder import LinkSpec
 
@@ -413,7 +405,6 @@ def build_scenario(config: ScenarioConfig) -> ScenarioResult:
                 duration_s=config.flash_crowd.duration_s,
                 connections_per_second=config.flash_crowd.connections_per_second,
             ),
-            burst=config.burst_coalescing,
         )
 
     if config.probe:

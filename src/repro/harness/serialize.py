@@ -4,6 +4,8 @@
 :class:`ScenarioConfig` tree (dataclasses, enums, tuples) through plain
 JSON-compatible dicts, so a run can be saved next to its results and
 replayed bit-for-bit later (the CLI's ``--save``/``--config`` flags).
+Unknown keys are rejected with a ``ValueError`` naming their dotted path,
+so a typo never silently runs the defaults.
 """
 
 from __future__ import annotations
@@ -45,17 +47,26 @@ def canonical_config_json(config: Any) -> str:
     return json.dumps(config_to_dict(config), sort_keys=True, separators=(",", ":"))
 
 
-def _build(cls: type, data: dict[str, Any]) -> Any:
+def _build(cls: type, data: dict[str, Any], prefix: str = "") -> Any:
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    unknown = [key for key in data if key not in names]
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(prefix + k for k in unknown)}; "
+            f"valid fields{' of ' + prefix[:-1] if prefix else ''}: "
+            f"{', '.join(names)}"
+        )
     kwargs: dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
+    for f in fields:
         if f.name not in data:
             continue
         value = data[f.name]
-        kwargs[f.name] = _coerce(f.type, value, f)
+        kwargs[f.name] = _coerce(f.type, value, f, f"{prefix}{f.name}.")
     return cls(**kwargs)
 
 
-def _coerce(annotation: Any, value: Any, f: dataclasses.Field) -> Any:
+def _coerce(annotation: Any, value: Any, f: dataclasses.Field, prefix: str) -> Any:
     if value == "inf":
         return float("inf")
     # Nested dataclasses are recognized from the default factory/value.
@@ -65,7 +76,7 @@ def _coerce(annotation: Any, value: Any, f: dataclasses.Field) -> Any:
     elif f.default is not dataclasses.MISSING:
         default = f.default
     if dataclasses.is_dataclass(default) and isinstance(value, dict):
-        return _build(type(default), value)
+        return _build(type(default), value, prefix)
     if isinstance(default, enum.Enum) and isinstance(value, str):
         return type(default)(value)
     if isinstance(value, list) and "tuple" in str(annotation):
@@ -73,7 +84,7 @@ def _coerce(annotation: Any, value: Any, f: dataclasses.Field) -> Any:
     if isinstance(default, tuple) and isinstance(value, list):
         return tuple(value)
     if isinstance(value, dict) and f.name == "flash_crowd":
-        return _build(FlashCrowdSpec, value)
+        return _build(FlashCrowdSpec, value, prefix)
     return value
 
 

@@ -5,23 +5,18 @@ matching inside the simulated OVS) *and* can serialize itself to wire bytes
 (for the DPI path).  ``parse_packet`` is the inverse, used by the inspector
 to prove the bytes genuinely round-trip.
 
-Two allocation fast paths for flood-scale workloads live here as well:
-
-* :class:`PacketPool` — a bounded free-list of packet shells, recycled when
-  a link delivers a frame nobody retained (checked via the interpreter's
-  reference count, so a buffered or sniffed packet is simply never reused);
-* :class:`SynFloodTemplate` / :class:`UdpFloodTemplate` — one immutable
-  frame shape per flood flow, stamped per packet with the spoofed source,
-  port and sequence number.  Stamping patches the pre-packed wire bytes in
-  place (incremental RFC 1071 checksums), so the ``to_bytes()`` memo is
-  warm at birth and the DPI path never re-packs a flood frame.
+The flood-scale allocation fast path lives here as well:
+:class:`SynFloodTemplate` / :class:`UdpFloodTemplate` hold one immutable
+frame shape per flood flow, stamped per packet with the spoofed source,
+port and sequence number.  Stamping patches the pre-packed wire bytes in
+place (incremental RFC 1071 checksums), so the ``to_bytes()`` memo is
+warm at birth and the DPI path never re-packs a flood frame.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,9 +68,6 @@ class Packet:
     # (in_port, FlowKey) pair memoized by FlowKey.from_packet.
     _fkobj: Optional[tuple] = field(default=None, repr=False, compare=False)
     _size: Optional[int] = field(default=None, repr=False, compare=False)
-    # Owning PacketPool, if any; survives header mutation so every hop's
-    # copy of a pooled flood frame can be recycled on delivery.
-    _pool: Optional["PacketPool"] = field(default=None, repr=False, compare=False)
 
     # Hand-written so construction writes slots directly: routing every
     # dataclass-generated assignment through the memo-invalidating
@@ -104,7 +96,6 @@ class Packet:
         set_(self, "_fkey", None)
         set_(self, "_fkobj", None)
         set_(self, "_size", None)
-        set_(self, "_pool", None)
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
@@ -233,10 +224,8 @@ class Packet:
         serialization memo: mirroring then exporting/inspecting a frame
         packs its bytes once, not once per consumer.
         """
-        pool = self._pool
-        clone = Packet.__new__(Packet) if pool is None else pool.acquire()
-        # One C-level dict copy instead of a setattr per field (~2x); the
-        # replaced __dict__ also discards whatever a recycled shell held.
+        clone = Packet.__new__(Packet)
+        # One C-level dict copy instead of a setattr per field (~2x).
         state = dict(self.__dict__)
         state["packet_id"] = next(_packet_ids)
         object.__setattr__(clone, "__dict__", state)
@@ -292,90 +281,6 @@ class Packet:
         return f"ETH {self.eth.src_mac} -> {self.eth.dst_mac} type=0x{self.eth.ethertype:04x}"
 
 
-_getrefcount = getattr(sys, "getrefcount", None)
-
-
-def _probe_refs(obj: object) -> int:
-    """Reference count seen by a callee for a caller-local argument."""
-    return 0 if _getrefcount is None else _getrefcount(obj)
-
-
-def _measure_baseline_refs() -> int:
-    # Self-calibrating: the call shape (caller local -> callee parameter ->
-    # getrefcount argument) mirrors exactly how PacketPool.release() sees a
-    # packet whose only outside reference is the caller's local variable.
-    obj = object()
-    return _probe_refs(obj)
-
-
-#: Refcount of a packet that nobody but the releasing caller still holds.
-_BASELINE_REFS = _measure_baseline_refs()
-
-
-class PacketPool:
-    """Bounded free-list of :class:`Packet` shells for flood fast paths.
-
-    Recycling is opportunistic and conservative: ``release()`` recycles a
-    shell only when the interpreter's reference count proves the caller
-    holds the last reference (switch buffers, sniffer copies and DPI queues
-    simply keep their packets and the shell is skipped).  Reused shells get
-    a fresh ``packet_id``, so pooling is invisible to every consumer.
-
-    Accounting identity (checked by the invariant harness)::
-
-        releases - hits == free_count <= capacity
-    """
-
-    __slots__ = ("capacity", "_free", "hits", "misses", "releases",
-                 "skipped_live", "overflow")
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError(f"pool capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._free: list[Packet] = []
-        self.hits = 0
-        self.misses = 0
-        self.releases = 0
-        self.skipped_live = 0
-        self.overflow = 0
-
-    @property
-    def free_count(self) -> int:
-        """Shells currently waiting on the free list."""
-        return len(self._free)
-
-    def acquire(self) -> Packet:
-        """Return a shell to overwrite: recycled if available, else fresh.
-
-        The caller must assign *every* field (the templates and
-        ``Packet.copy`` do); the shell's previous contents are garbage.
-        """
-        free = self._free
-        if free:
-            self.hits += 1
-            return free.pop()
-        self.misses += 1
-        return Packet.__new__(Packet)
-
-    def release(self, packet: Packet) -> bool:
-        """Offer a packet back to the pool; recycle only if provably dead.
-
-        Call with exactly one caller-held reference (a local variable).  A
-        packet retained anywhere else — buffered, sniffed, queued — shows a
-        higher reference count and is skipped, never corrupted.
-        """
-        if _getrefcount is None or _getrefcount(packet) != _BASELINE_REFS:
-            self.skipped_live += 1
-            return False
-        if len(self._free) >= self.capacity:
-            self.overflow += 1
-            return False
-        self.releases += 1
-        self._free.append(packet)
-        return True
-
-
 # Byte offsets of the variable fields inside a templated flood frame
 # (Ethernet 14 + IPv4 20 + L4).  See SynFloodTemplate/UdpFloodTemplate.
 _IP_CSUM_OFF = EthernetHeader.LENGTH + 10          # 24
@@ -386,17 +291,12 @@ _L4_OFF = EthernetHeader.LENGTH + IPv4Header.LENGTH  # 34
 class _FloodTemplate:
     """Shared machinery: pre-packed frame + incremental checksum partials."""
 
-    __slots__ = ("eth", "dst_ip", "dst_port", "pool", "_base", "_frame_size",
-                 "_ip_partial", "_src_cache", "_proto_state")
+    __slots__ = ("eth", "dst_ip", "dst_port", "_base", "_frame_size",
+                 "_ip_partial", "_proto_state")
 
-    #: Bound on the per-source cache (random-source floods draw tens of
-    #: thousands of distinct addresses; each entry is tiny but not free).
-    _SRC_CACHE_LIMIT = 1 << 16
-
-    def __init__(self, prototype: Packet, pool: Optional[PacketPool]) -> None:
+    def __init__(self, prototype: Packet) -> None:
         self.eth = prototype.eth
         self.dst_ip = prototype.ip.dst_ip
-        self.pool = pool
         self._base = prototype.to_bytes()
         self._frame_size = len(self._base)
         # IPv4 header words that never change: version..protocol and dst,
@@ -405,7 +305,6 @@ class _FloodTemplate:
             self._base[_IP_SRC_OFF + 4:_IP_SRC_OFF + 8],
             checksum_partial(self._base[EthernetHeader.LENGTH:_IP_CSUM_OFF]),
         )
-        self._src_cache: dict[str, tuple] = {}
         # Prototype __dict__ for stamped packets: every field that is the
         # same for all packets of this shape.  stamp() copies it and fills
         # in the per-packet fields, then installs the dict wholesale.
@@ -422,23 +321,17 @@ class _FloodTemplate:
             "_fkey": None,
             "_fkobj": None,
             "_size": self._frame_size,
-            "_pool": pool,
         }
 
     def _src_entry(self, src_ip: str) -> tuple:
         """(packed bytes, high word, low word, IPv4Header) for a source."""
-        entry = self._src_cache.get(src_ip)
-        if entry is None:
-            value = ip_to_int(src_ip)
-            entry = (
-                value.to_bytes(4, "big"),
-                value >> 16,
-                value & 0xFFFF,
-                self._make_ip_header(src_ip),
-            )
-            if len(self._src_cache) < self._SRC_CACHE_LIMIT:
-                self._src_cache[src_ip] = entry
-        return entry
+        value = ip_to_int(src_ip)
+        return (
+            value.to_bytes(4, "big"),
+            value >> 16,
+            value & 0xFFFF,
+            self._make_ip_header(src_ip),
+        )
 
     def _make_ip_header(self, src_ip: str) -> IPv4Header:
         raise NotImplementedError
@@ -456,15 +349,12 @@ class SynFloodTemplate(_FloodTemplate):
 
     __slots__ = ("_tcp_partial",)
 
-    def __init__(
-        self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int,
-        pool: Optional[PacketPool] = None,
-    ) -> None:
+    def __init__(self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int) -> None:
         prototype = Packet.tcp_packet(
             src_mac, dst_mac, "0.0.0.0", dst_ip,
             TcpHeader(src_port=0, dst_port=dst_port, seq=0, flags=TCP_SYN),
         )
-        super().__init__(prototype, pool)
+        super().__init__(prototype)
         self.dst_port = dst_port
         base = self._base
         # TCP words that never change: pseudo-header (with zeroed source),
@@ -507,11 +397,9 @@ class SynFloodTemplate(_FloodTemplate):
         checksum = ~total & 0xFFFF
         wire[_L4_OFF + 16] = checksum >> 8
         wire[_L4_OFF + 17] = checksum & 0xFF
-        pool = self.pool
-        packet = Packet.__new__(Packet) if pool is None else pool.acquire()
+        packet = Packet.__new__(Packet)
         # Assemble the state as one dict and install it wholesale (same
-        # trick as Packet.copy): measurably cheaper than a setattr per
-        # field, and it wipes whatever a recycled shell previously held.
+        # trick as Packet.copy): measurably cheaper than a setattr per field.
         state = dict(self._proto_state)
         state["ip"] = ip_header
         state["tcp"] = TcpHeader(src_port=src_port, dst_port=self.dst_port,
@@ -532,13 +420,13 @@ class UdpFloodTemplate(_FloodTemplate):
 
     def __init__(
         self, src_mac: str, dst_mac: str, dst_ip: str, dst_port: int,
-        payload: bytes = b"", pool: Optional[PacketPool] = None,
+        payload: bytes = b"",
     ) -> None:
         prototype = Packet.udp_packet(
             src_mac, dst_mac, "0.0.0.0", dst_ip,
             UdpHeader(src_port=0, dst_port=dst_port), payload=payload,
         )
-        super().__init__(prototype, pool)
+        super().__init__(prototype)
         self.dst_port = dst_port
         self.payload = payload
         base = self._base
@@ -581,10 +469,8 @@ class UdpFloodTemplate(_FloodTemplate):
             checksum = 0xFFFF
         wire[_L4_OFF + 6] = checksum >> 8
         wire[_L4_OFF + 7] = checksum & 0xFF
-        pool = self.pool
-        packet = Packet.__new__(Packet) if pool is None else pool.acquire()
-        # Same dict-install trick as the SYN twin: one C-level dict copy
-        # beats a setattr per field and scrubs any recycled shell.
+        packet = Packet.__new__(Packet)
+        # Same dict-install trick as the SYN twin.
         state = dict(self._proto_state)
         state["ip"] = ip_header
         state["udp"] = UdpHeader(src_port=src_port, dst_port=self.dst_port)

@@ -21,7 +21,7 @@ related repos' REST-wrapped detectors) actually deploy:
   ``repro ctl``.
 
 Sessions that receive no runtime mutations are byte-identical to the
-batch path; ``repro check --serve-oracle`` asserts exactly that.
+batch path; ``repro check --oracle serve`` asserts exactly that.
 """
 
 from repro.service.client import ServiceClient, ServiceError

@@ -9,7 +9,7 @@ alert subscriber stay centralized on the coordinator (shard 0); cut
 links and remote control channels are replaced by boundary stubs that
 serialize messages through compact per-epoch batches.
 
-The non-negotiable bar, enforced by ``repro check --scheduler-oracle``
+The non-negotiable bar, enforced by ``repro check --oracle sharded``
 and ``tests/test_sharded_determinism.py``: a sharded run fingerprints
 **byte-identically** to the single-process run of the same scenario, at
 any shard count.  See DESIGN.md "Sharded simulation" for the lookahead

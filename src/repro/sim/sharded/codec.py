@@ -2,10 +2,9 @@
 
 Everything that crosses a shard boundary travels as plain picklable
 data.  Live :class:`~repro.net.packet.Packet` objects never cross: a
-packet may hold a reference to its shard-local :class:`PacketPool` (and
-a memoized wire-bytes buffer), so frames are serialized to their
-canonical wire bytes (``Packet.to_bytes``) and re-parsed on the owning
-shard — the same byte-exact round trip the fast-path tests already
+packet carries shard-local memos (wire bytes, flow key, size), so frames
+are serialized to their canonical wire bytes (``Packet.to_bytes``) and
+re-parsed on the owning shard — the same byte-exact round trip the fast-path tests already
 assert.  OpenFlow messages that embed a packet (``PacketIn`` /
 ``PacketOut``) are rebuilt field-by-field with their original ``xid``
 (passing ``xid`` explicitly skips the ``default_factory``, so decoding
@@ -60,7 +59,7 @@ def encode_packet(packet: Packet) -> bytes:
 
 
 def decode_packet(raw: bytes) -> Packet:
-    """Rebuild a frame from its wire bytes (pool-free, byte-exact)."""
+    """Rebuild a frame from its wire bytes (byte-exact)."""
     return parse_packet(raw)
 
 

@@ -194,15 +194,7 @@ class OpenFlowSwitch(Node):
             return
         self.workload.charge_forward(self.sim.now)
         self.counters.packets_forwarded += 1
-        # The clone stays in a local so a drop-tailed frame can go back to
-        # its pool; at flood rates most clones die right here and recycling
-        # them keeps the free list warm (release() refuses if anything —
-        # a tap, a trace — still holds the clone).
-        clone = packet.copy()
-        if not interface.send(clone):
-            pool = clone._pool
-            if pool is not None:
-                pool.release(clone)
+        interface.send(packet.copy())
 
     def _flood(self, packet: Packet, in_port: int) -> None:
         self.counters.packets_flooded += 1
@@ -210,11 +202,7 @@ class OpenFlowSwitch(Node):
             if port_no == in_port or not interface.connected:
                 continue
             self.workload.charge_forward(self.sim.now)
-            clone = packet.copy()
-            if not interface.send(clone):
-                pool = clone._pool
-                if pool is not None:
-                    pool.release(clone)
+            interface.send(packet.copy())
 
     def _mirror(self, packet: Packet, port_no: int) -> None:
         interface = self.interfaces.get(port_no)
@@ -223,11 +211,7 @@ class OpenFlowSwitch(Node):
         self.workload.charge_mirror(packet.size_bytes, self.sim.now)
         self.counters.packets_mirrored += 1
         self.counters.bytes_mirrored += packet.size_bytes
-        clone = packet.copy()
-        if not interface.send(clone):
-            pool = clone._pool
-            if pool is not None:
-                pool.release(clone)
+        interface.send(packet.copy())
 
     def _punt(self, packet: Packet, in_port: int, reason: PacketInReason) -> None:
         if self.channel is None:

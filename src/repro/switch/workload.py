@@ -15,7 +15,7 @@ term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -32,26 +32,18 @@ class WorkloadCosts:
     stats_request: float = 20e-6
 
 
-@dataclass
-class _WindowSample:
-    """Busy-time accumulated within one measurement window."""
-
-    start: float
-    busy: float = 0.0
-
-
 class WorkloadMeter:
     """Integrates switch CPU busy-time, split by cause.
 
-    ``utilization(window)`` returns busy/wall over the trailing window,
-    the number the E3 bench reports as *OVS load*.
+    Only running totals are kept: a windowed utilization is the change in
+    ``total_busy`` over the window divided by its length (see
+    :class:`repro.harness.probe.ScenarioProbe`).
     """
 
     def __init__(self, costs: WorkloadCosts | None = None) -> None:
         self.costs = costs or WorkloadCosts()
         self.total_busy = 0.0
         self.busy_by_cause: dict[str, float] = {}
-        self._samples: list[tuple[float, float]] = []  # (time, busy_delta)
 
     def charge(self, cause: str, seconds: float, now: float) -> None:
         """Record ``seconds`` of CPU attributable to ``cause`` at ``now``."""
@@ -59,7 +51,6 @@ class WorkloadMeter:
             raise ValueError("cannot charge negative time")
         self.total_busy += seconds
         self.busy_by_cause[cause] = self.busy_by_cause.get(cause, 0.0) + seconds
-        self._samples.append((now, seconds))
 
     # Convenience wrappers for the common operations -------------------
 
@@ -97,14 +88,6 @@ class WorkloadMeter:
 
     # Reporting ---------------------------------------------------------
 
-    def utilization(self, now: float, window: float = 1.0) -> float:
-        """Busy fraction over the trailing ``window`` seconds."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        cutoff = now - window
-        busy = sum(delta for t, delta in self._samples if t >= cutoff)
-        return busy / window
-
     def breakdown(self) -> dict[str, float]:
         """Total busy seconds per cause (copy)."""
         return dict(self.busy_by_cause)
@@ -114,7 +97,3 @@ class WorkloadMeter:
         if self.total_busy == 0:
             return 0.0
         return self.busy_by_cause.get("mirror", 0.0) / self.total_busy
-
-    def prune(self, before: float) -> None:
-        """Drop samples older than ``before`` to bound memory."""
-        self._samples = [(t, d) for t, d in self._samples if t >= before]

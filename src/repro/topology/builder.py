@@ -17,7 +17,6 @@ from repro.controller.l2 import L2LearningSwitch
 from repro.net.host import Host
 from repro.net.link import Link
 from repro.net.node import Node
-from repro.net.packet import PacketPool
 from repro.openflow.channel import ControlChannel
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRng
@@ -50,13 +49,11 @@ class Network:
         switch_costs: WorkloadCosts | None = None,
         engine: str = "optimized",
         microflow_enabled: bool = True,
-        pooling: bool = True,
-        burst_coalescing: bool = True,
     ) -> None:
         # "optimized" is the tuple-heap engine from repro.sim.engine;
         # "reference" is the pre-overhaul loop kept as a differential
         # oracle.  Both are held to byte-identical behavior by
-        # repro check --scheduler-oracle.
+        # repro check.
         if engine == "optimized":
             self.sim = Simulator()
         elif engine == "reference":
@@ -69,10 +66,6 @@ class Network:
             )
         self.engine = engine
         self.microflow_enabled = microflow_enabled
-        # Allocation fast-path knobs (both strategy-invisible: results are
-        # byte-identical with either setting; see repro.harness.fuzzer).
-        self.packet_pool = PacketPool() if pooling else None
-        self.burst_coalescing = burst_coalescing
         self.rng = SeededRng(seed)
         self.tracer = Tracer(lambda: self.sim.now)
         self.default_link = default_link or LinkSpec()

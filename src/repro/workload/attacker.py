@@ -7,11 +7,10 @@ exactly the packet stream ``hping3 -S --flood --rand-source`` produces on
 a testbed.  ``UdpFloodAttacker`` provides the volumetric comparison
 workload.
 
-Both attackers share an allocation-aware fast path (on by default, see
-``burst=``): instead of one self-rescheduling heap event per Poisson
-arrival, a *burst event* pre-generates ~50 ms of arrivals at a time —
-drawing gaps and per-packet randomness in exactly the legacy order, so
-the packet stream is byte-identical — crafts the packets through a
+Both attackers generate Poisson arrivals in *burst events*: instead of
+one self-rescheduling heap event per arrival, a burst event pre-generates
+~50 ms of arrivals at a time (the next gap is drawn before each packet's
+randomness), crafts the packets through a
 :class:`repro.net.packet.SynFloodTemplate`/``UdpFloodTemplate`` (wire
 bytes pre-packed, checksums patched incrementally), and fans the
 emissions out through one ``schedule_at_many`` batch sharing a single
@@ -30,8 +29,7 @@ from typing import Optional
 
 from repro.net.headers import TCP_SYN, TcpHeader, UdpHeader
 from repro.net.host import Host
-from repro.net.packet import PacketPool, SynFloodTemplate, UdpFloodTemplate
-from repro.sim.process import Interval
+from repro.net.packet import SynFloodTemplate, UdpFloodTemplate
 from repro.sim.rng import SeededRng
 
 #: Seconds of Poisson arrivals pre-generated per burst event.
@@ -91,25 +89,18 @@ class SynFloodConfig:
 
 
 class _FloodAttacker:
-    """Shared flood machinery: legacy Interval path + burst fast path.
+    """Shared flood machinery: burst-scheduled Poisson arrivals.
 
     Subclasses define ``_kind`` plus three hooks: ``_build_template()``
     (may return ``None`` to keep per-packet sends), ``_craft(t)`` (draws
-    the per-packet randomness in the legacy order and returns a finished
-    packet, a fallback send tuple, or ``None`` for a suppressed arrival)
-    and ``_emit(item)`` (puts one crafted item on the wire).
+    the per-packet randomness and returns a finished packet, a fallback
+    send tuple, or ``None`` for a suppressed arrival) and ``_emit(item)``
+    (puts one crafted item on the wire).
     """
 
     _kind = "flood"
 
-    def __init__(
-        self,
-        host: Host,
-        rng: SeededRng,
-        config,
-        pool: Optional[PacketPool] = None,
-        burst: bool = True,
-    ) -> None:
+    def __init__(self, host: Host, rng: SeededRng, config) -> None:
         if not config.victim_ip:
             raise ValueError("victim_ip is required")
         self.host = host
@@ -117,9 +108,6 @@ class _FloodAttacker:
         self.config = config
         self.packets_sent = 0
         self.packets_rejected = 0  # NIC-level drops (link queue full)
-        self.pool = pool
-        self._burst = burst
-        self._interval: Optional[Interval] = None
         self._running = False
         self._label = f"{self._kind}.{host.name}"
         # Template creation is deferred to the first burst event: at
@@ -133,32 +121,22 @@ class _FloodAttacker:
 
     def start(self) -> None:
         """Arm the generator; packets begin at ``schedule.start_s``."""
-        if self._interval is not None or self._running:
+        if self._running:
             return
         sim = self.host.sim
         schedule = self.config.schedule
-        if self._burst:
-            self._running = True
-            # Matches Interval.start(initial_delay=start_s): the first gap
-            # is drawn now and the sum is rounded in the same order.
-            gap = self.rng.expovariate(self.config.rate_pps)
-            first = sim.now + (schedule.start_s + gap)
-            self._t_next = first
-            self._burst_events = [sim.schedule_at(first, self._burst_fire, self._label)]
-        else:
-            self._interval = Interval.poisson(
-                sim, self.rng, self.config.rate_pps, self._fire, self._label
-            )
-            self._interval.start(initial_delay=schedule.start_s)
+        self._running = True
+        # The first gap is drawn now, counted from the attack start.
+        gap = self.rng.expovariate(self.config.rate_pps)
+        first = sim.now + (schedule.start_s + gap)
+        self._t_next = first
+        self._burst_events = [sim.schedule_at(first, self._burst_fire, self._label)]
         end = schedule.start_s + schedule.duration_s
         if end != float("inf"):
             sim.schedule(end, self.stop, f"{self._kind}.end")
 
     def stop(self) -> None:
         """Cease fire."""
-        if self._interval is not None:
-            self._interval.stop()
-            self._interval = None
         if self._running:
             self._running = False
             sim = self.host.sim
@@ -171,17 +149,12 @@ class _FloodAttacker:
             self._burst_events = []
             self._pending.clear()
 
-    # ------------------------------------------------------------------
-    # Burst fast path
-    # ------------------------------------------------------------------
-
     def _burst_fire(self) -> None:
         """One burst event: emit the arrival due now, pre-generate a window.
 
-        Gap draws and craft draws interleave exactly like the legacy
-        ``Interval._arrive``/``_fire`` pair (next gap first, then the
-        packet's randomness), so the RNG stream — and therefore the packet
-        stream — is identical to the per-arrival path.
+        Gap draws and craft draws interleave per arrival (next gap first,
+        then the packet's randomness), so the packet stream does not
+        depend on where the burst windows fall.
         """
         if not self._running:
             return
@@ -199,47 +172,25 @@ class _FloodAttacker:
         emit_next = self._emit_next
         entries: list = []
         append = entries.append
-        first_item = None
-        first = True
-        while True:
+        gap = expovariate(rate)
+        first_item = craft(t)
+        t += gap
+        while t <= horizon:
             gap = expovariate(rate)
             item = craft(t)
-            if first:
-                first_item = item
-                first = False
-            elif item is not None:
+            if item is not None:
                 pending.append(item)
                 append((t, emit_next, label))
             t += gap
-            if t > horizon:
-                break
         self._t_next = t
         append((t, self._burst_fire, label))
         self._burst_events = sim.schedule_at_many(entries)
-        # Recycling a rejected shell must happen in the frame holding the
-        # *only* remaining reference (release() proves deadness by
-        # refcount), so _emit reports the verdict and the release is
-        # inlined here rather than in _emit or a helper — either would add
-        # a frame and the guard would always see the shell as live.  The
-        # loop's `item` still aliases `first_item` on one-iteration bursts,
-        # so drop it first.
-        item = None
-        if (
-            first_item is not None
-            and not self._emit(first_item)
-            and type(first_item) is not tuple
-        ):
-            pool = first_item._pool
-            if pool is not None:
-                pool.release(first_item)
+        if first_item is not None:
+            self._emit(first_item)
 
     def _emit_next(self) -> None:
         if self._pending:
-            item = self._pending.popleft()
-            if not self._emit(item) and type(item) is not tuple:
-                pool = item._pool
-                if pool is not None:
-                    pool.release(item)
+            self._emit(self._pending.popleft())
 
     # Hooks ------------------------------------------------------------
 
@@ -256,13 +207,10 @@ class _FloodAttacker:
         except KeyError:
             return None
 
-    def _fire(self) -> None:
-        raise NotImplementedError
-
     def _craft(self, t: float):
         raise NotImplementedError
 
-    def _emit(self, item) -> bool:
+    def _emit(self, item) -> None:
         raise NotImplementedError
 
 
@@ -271,15 +219,8 @@ class SynFloodAttacker(_FloodAttacker):
 
     _kind = "synflood"
 
-    def __init__(
-        self,
-        host: Host,
-        rng: SeededRng,
-        config: SynFloodConfig,
-        pool: Optional[PacketPool] = None,
-        burst: bool = True,
-    ) -> None:
-        super().__init__(host, rng, config, pool=pool, burst=burst)
+    def __init__(self, host: Host, rng: SeededRng, config: SynFloodConfig) -> None:
+        super().__init__(host, rng, config)
         self._spoof_pool: list[str] = []
         if config.spoof and config.spoof_pool_size > 0:
             self._spoof_pool = [
@@ -291,31 +232,11 @@ class SynFloodAttacker(_FloodAttacker):
         if dst_mac is None:
             return None
         return SynFloodTemplate(
-            self.host.mac, dst_mac, self.config.victim_ip,
-            self.config.victim_port, pool=self.pool,
+            self.host.mac, dst_mac, self.config.victim_ip, self.config.victim_port,
         )
-
-    def _fire(self) -> None:
-        multiplier = self.config.schedule.rate_multiplier(self.host.sim.now)
-        if multiplier <= 0.0:
-            return
-        if multiplier < 1.0 and self.rng.random() > multiplier:
-            return  # thinning realizes the ramp
-        header = TcpHeader(
-            src_port=self.rng.randint(1024, 65535),
-            dst_port=self.config.victim_port,
-            seq=self.rng.randint(0, 0xFFFFFFFF),
-            flags=TCP_SYN,
-        )
-        src_ip = self._source_ip()
-        sent = self.host.send_tcp(self.config.victim_ip, header, src_ip=src_ip)
-        if sent:
-            self.packets_sent += 1
-        else:
-            self.packets_rejected += 1
 
     def _craft(self, t: float):
-        # Draw order mirrors _fire exactly: thinning, src_port, seq, source.
+        # Draw order: thinning (realizes the ramp), src_port, seq, source.
         multiplier = self.config.schedule.rate_multiplier(t)
         if multiplier <= 0.0:
             return None
@@ -336,7 +257,7 @@ class SynFloodAttacker(_FloodAttacker):
                       seq=seq, flags=TCP_SYN),
         )
 
-    def _emit(self, item) -> bool:
+    def _emit(self, item) -> None:
         if type(item) is tuple:
             src_ip, header = item
             sent = self.host.send_tcp(self.config.victim_ip, header, src_ip=src_ip)
@@ -346,7 +267,6 @@ class SynFloodAttacker(_FloodAttacker):
             self.packets_sent += 1
         else:
             self.packets_rejected += 1
-        return sent
 
     def _source_ip(self) -> Optional[str]:
         if not self.config.spoof:
@@ -380,15 +300,8 @@ class UdpFloodAttacker(_FloodAttacker):
 
     _kind = "udpflood"
 
-    def __init__(
-        self,
-        host: Host,
-        rng: SeededRng,
-        config: UdpFloodConfig,
-        pool: Optional[PacketPool] = None,
-        burst: bool = True,
-    ) -> None:
-        super().__init__(host, rng, config, pool=pool, burst=burst)
+    def __init__(self, host: Host, rng: SeededRng, config: UdpFloodConfig) -> None:
+        super().__init__(host, rng, config)
 
     def _build_template(self) -> Optional[UdpFloodTemplate]:
         dst_mac = self._resolve_victim_mac()
@@ -397,27 +310,10 @@ class UdpFloodAttacker(_FloodAttacker):
         return UdpFloodTemplate(
             self.host.mac, dst_mac, self.config.victim_ip,
             self.config.victim_port, payload=bytes(self.config.payload_bytes),
-            pool=self.pool,
         )
-
-    def _fire(self) -> None:
-        if self.config.schedule.rate_multiplier(self.host.sim.now) <= 0.0:
-            return
-        header = UdpHeader(
-            src_port=self.rng.randint(1024, 65535), dst_port=self.config.victim_port
-        )
-        src_ip = (
-            self.rng.random_ipv4(self.config.spoof_prefix) if self.config.spoof else None
-        )
-        payload = bytes(self.config.payload_bytes)
-        sent = self.host.send_udp(self.config.victim_ip, header, payload, src_ip=src_ip)
-        if sent:
-            self.packets_sent += 1
-        else:
-            self.packets_rejected += 1
 
     def _craft(self, t: float):
-        # Draw order mirrors _fire exactly: src_port, then spoofed source.
+        # Draw order: src_port, then spoofed source.
         # Note: deliberately no thinning draw — the UDP flood fires at full
         # rate whenever the schedule multiplier is positive.
         if self.config.schedule.rate_multiplier(t) <= 0.0:
@@ -437,7 +333,7 @@ class UdpFloodAttacker(_FloodAttacker):
             UdpHeader(src_port=src_port, dst_port=self.config.victim_port),
         )
 
-    def _emit(self, item) -> bool:
+    def _emit(self, item) -> None:
         if type(item) is tuple:
             src_ip, header = item
             sent = self.host.send_udp(
@@ -450,4 +346,3 @@ class UdpFloodAttacker(_FloodAttacker):
             self.packets_sent += 1
         else:
             self.packets_rejected += 1
-        return sent

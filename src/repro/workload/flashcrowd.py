@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.engine import Event
-from repro.sim.process import Interval
 from repro.sim.rng import SeededRng
 from repro.tcp.socket import Connection
 from repro.tcp.stack import TcpStack
@@ -50,7 +49,6 @@ class FlashCrowd:
         stacks: list[TcpStack],
         rng: SeededRng,
         config: FlashCrowdConfig,
-        burst: bool = True,
     ) -> None:
         if not stacks:
             raise ValueError("need at least one crowd host")
@@ -73,46 +71,22 @@ class FlashCrowd:
         self._sim = sim
         # Burst coalescing pregenerates ~50 ms of spawn times per wake-up
         # instead of one heap entry per connection.  Only inter-arrival gaps
-        # are drawn from the crowd rng, so pregeneration consumes the stream
-        # in the same order as the legacy per-arrival loop and the spawned
-        # traffic is byte-identical either way.
-        self._burst = burst
+        # are drawn from the crowd rng, so the spawned traffic does not
+        # depend on where the burst windows fall.
         self._running = False
         self._burst_events: list[Event] = []
         self._t_next = 0.0
-        if burst:
-            self._interval = None
-            sim.schedule_many(
-                [
-                    (config.start_s, self._begin, "flashcrowd.start"),
-                    (
-                        config.start_s + config.duration_s,
-                        self._end,
-                        "flashcrowd.end",
-                    ),
-                ]
-            )
-        else:
-            self._interval = Interval.poisson(
-                sim, rng, config.connections_per_second, self._spawn, "flashcrowd"
-            )
-            sim.schedule_many(
-                [
-                    (config.start_s, self._interval.start, "flashcrowd.start"),
-                    (
-                        config.start_s + config.duration_s,
-                        self._interval.stop,
-                        "flashcrowd.end",
-                    ),
-                ]
-            )
+        sim.schedule_many(
+            [
+                (config.start_s, self._begin, "flashcrowd.start"),
+                (config.start_s + config.duration_s, self._end, "flashcrowd.end"),
+            ]
+        )
 
     def _begin(self) -> None:
         if self._running:
             return
         self._running = True
-        # Interval.start(initial_delay=0.0) schedules the first arrival at
-        # now + (0.0 + gap); 0.0 + gap == gap, so this float matches exactly.
         first = self._sim.now + self.rng.expovariate(self.config.connections_per_second)
         self._t_next = first
         self._burst_events = [self._sim.schedule_at(first, self._burst_fire, "flashcrowd")]
@@ -133,14 +107,10 @@ class FlashCrowd:
         self._t_next = t
         entries.append((t, self._burst_fire, "flashcrowd"))
         self._burst_events = self._sim.schedule_at_many(entries)
-        # This wake-up *is* an arrival: the legacy loop schedules the next
-        # arrival first, then spawns — mirrored here (draws, then spawn).
+        # This wake-up *is* an arrival (spawned after the window's draws).
         self._spawn()
 
     def _end(self) -> None:
-        if self._interval is not None:
-            self._interval.stop()
-            return
         if not self._running:
             return
         self._running = False

@@ -95,10 +95,6 @@ class StandardWorkload:
             pulse_on_s=cfg.attack_pulse_on_s,
             pulse_off_s=cfg.attack_pulse_off_s,
         )
-        # Allocation fast-path knobs are owned by the Network (wired from
-        # ScenarioConfig); defaults keep direct construction on the fast path.
-        pool = getattr(self.net, "packet_pool", None)
-        burst = getattr(self.net, "burst_coalescing", True)
         for name in self.roles.attackers:
             host = self.net.hosts[name]
             rng = self.net.rng.child(f"attacker.{name}")
@@ -113,8 +109,6 @@ class StandardWorkload:
                         spoof=cfg.spoof,
                         schedule=schedule,
                     ),
-                    pool=pool,
-                    burst=burst,
                 )
             else:
                 self.attackers[name] = SynFloodAttacker(
@@ -128,8 +122,6 @@ class StandardWorkload:
                         spoof_pool_size=cfg.spoof_pool_size,
                         schedule=schedule,
                     ),
-                    pool=pool,
-                    burst=burst,
                 )
 
     def start(self, with_attack: bool = True) -> None:

@@ -138,9 +138,35 @@ class TestCacheCommand:
 
 class TestCheckSchedulerOracle:
     def test_one_seed_three_engines(self, capsys):
-        assert main(["check", "--seeds", "1", "--scheduler-oracle"]) == 0
+        assert main(["check", "--seeds", "1", "--oracle", "sharded"]) == 0
         out = capsys.readouterr().out
-        assert "PASS: 1/1 seeds byte-identical" in out
+        assert "PASS: 1/1 seeds byte-identical, sharded oracle ok" in out
+
+
+class TestCheckArguments:
+    @pytest.mark.parametrize("argv", [
+        ["--seeds", "0"],
+        ["--seeds", "-3"],
+        ["--seeds", "two"],
+        ["--workers", "0"],
+        ["--workers", "-1"],
+        ["--oracle", "fastpath"],
+    ])
+    def test_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", *argv])
+        assert excinfo.value.code == 2
+        assert "repro check: error" in capsys.readouterr().err
+
+    def test_oracle_is_repeatable_in_registry_order(self):
+        from repro.cli import _build_parser
+        from repro.harness.fuzzer import ORACLES
+
+        args = _build_parser().parse_args(
+            ["check", "--oracle", "sketch", "--oracle", "parallel"]
+        )
+        assert args.oracle == ["sketch", "parallel"]
+        assert list(ORACLES) == ["parallel", "sharded", "serve", "sketch"]
 
 
 class TestCacheInfoJson:
@@ -162,8 +188,8 @@ class TestCtl:
         # Full oracle runs live in CI; here only the wiring is checked.
         from repro.cli import _build_parser
 
-        args = _build_parser().parse_args(["check", "--serve-oracle"])
-        assert args.serve_oracle is True
+        args = _build_parser().parse_args(["check", "--oracle", "serve"])
+        assert args.oracle == ["serve"]
 
 
 class TestBrokenStdoutPipe:

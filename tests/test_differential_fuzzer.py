@@ -11,6 +11,7 @@ exception.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.harness.fuzzer import (
     DifferentialOutcome,
     FuzzSuiteReport,
     describe_outcome,
-    fastpath_variant,
     fingerprint,
     fingerprint_json,
     generate_scenario,
@@ -62,23 +62,6 @@ class TestGenerator:
         assert variant.workload == config.workload
         assert variant.topology == config.topology
 
-    def test_fastpath_variant_flips_only_allocation_knobs(self):
-        config = generate_scenario(3)
-        variant = fastpath_variant(config)
-        assert variant.pooling is False
-        assert variant.burst_coalescing is False
-        assert variant.engine == config.engine
-        assert variant.seed == config.seed
-        assert variant.workload == config.workload
-
-    def test_generator_mixes_fastpath_knobs(self):
-        settings = {
-            (generate_scenario(seed).pooling,
-             generate_scenario(seed).burst_coalescing)
-            for seed in range(40)
-        }
-        assert len(settings) > 1
-
 
 class TestFingerprint:
     def test_covers_core_metrics_and_omits_microflow(self):
@@ -111,21 +94,34 @@ class TestDifferentialRuns:
         assert outcome.matched, describe_outcome(outcome)
         assert outcome.optimized == outcome.reference
 
-    def test_fastpath_oracle_four_way_identical(self):
-        outcome = run_differential(0, fastpath_oracle=True)
-        assert outcome.matched, describe_outcome(outcome)
-
     def test_suite_report_aggregates(self):
         report = run_fuzz_suite(n_seeds=2, base_seed=0)
         assert len(report.outcomes) == 2
-        assert report.parallel_matched is None
+        assert report.oracles == {}
         assert report.passed
 
     def test_suite_parallel_oracle_matches(self):
-        report = run_fuzz_suite(n_seeds=2, base_seed=0, parallel_oracle=True,
+        report = run_fuzz_suite(n_seeds=2, base_seed=0, oracles=["parallel"],
                                 workers=2)
-        assert report.parallel_matched is True
+        assert report.oracles == {"parallel": True}
         assert report.passed
+
+    def test_failing_lane_fails_the_suite(self, monkeypatch):
+        seen = []
+
+        def failing_lane(rows, workers):
+            seen.extend(row.seed for row in rows)
+            return [replace(rows[0], matched=False, detail="planted lane failure")]
+
+        monkeypatch.setitem(fuzzer.ORACLES, "parallel", failing_lane)
+        progress = []
+        report = run_fuzz_suite(n_seeds=1, base_seed=0, oracles=["parallel"],
+                                progress=progress.append)
+        assert seen == [0]
+        assert all(o.matched for o in report.outcomes)
+        assert report.oracles == {"parallel": False}
+        assert not report.passed
+        assert progress[-1].detail == "planted lane failure"
 
     def test_mismatch_surfaces_as_failed_report(self, monkeypatch):
         real = fuzzer.fingerprint_json

@@ -1,26 +1,34 @@
-"""The allocation fast path: flood templates, the packet pool, and the
-vectorized Internet checksum.
+"""The allocation fast path: flood templates and the vectorized
+Internet checksum.
 
 Everything here defends one promise: the fast path is invisible.  A
 stamped packet must be byte-for-byte what the classmethod constructors
-build, a recycled shell must be indistinguishable from a fresh one, and
-the word-summed checksum must equal the word-at-a-time reference on any
-input.
+build, an attacker without a template must put the same frames on the
+wire through the per-packet send path, and the word-summed checksum must
+equal the word-at-a-time reference on any input.
 """
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.headers import TCP_SYN, TcpHeader, UdpHeader, internet_checksum
 from repro.net.packet import (
     Packet,
-    PacketPool,
     SynFloodTemplate,
     UdpFloodTemplate,
     parse_packet,
+)
+from repro.topology import single_switch
+from repro.workload import (
+    AttackSchedule,
+    SynFloodAttacker,
+    SynFloodConfig,
+    UdpFloodAttacker,
+    UdpFloodConfig,
 )
 
 SRC_MAC = "02:00:00:00:00:01"
@@ -106,74 +114,46 @@ class TestUdpFloodTemplate:
         assert stamped.to_bytes() == _legacy_udp("198.18.1.2", src_port, b"q" * 9).to_bytes()
 
 
-class TestPacketPool:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PacketPool(capacity=0)
+def _wire_log(attacker_cls, config, fallback: bool) -> list[tuple[bytes, float]]:
+    """Frames one seeded attacker puts on the wire in its first second."""
+    net, _ = single_switch(n_clients=1, n_attackers=1)
+    host = net.hosts["atk1"]
+    frames: list[tuple[bytes, float]] = []
+    send = host.send_packet
 
-    def test_acquire_miss_then_release_then_hit(self):
-        pool = PacketPool(capacity=4)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        packet = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        assert pool.misses == 1
-        released = pool.release(packet)
-        packet = None  # drop our reference *after* release already ran
-        assert released and pool.releases == 1 and pool.free_count == 1
-        recycled = template.stamp("198.18.0.2", 2222, 2, 1.0)
-        assert pool.hits == 1 and pool.free_count == 0
-        # The recycled shell is a fully fresh packet to every consumer.
-        assert recycled.to_bytes() == _legacy_syn("198.18.0.2", 2222, 2).to_bytes()
+    def record(packet: Packet) -> bool:
+        frames.append((packet.to_bytes(), packet.created_at))
+        return send(packet)
 
-    def test_recycled_shell_gets_fresh_id(self):
-        pool = PacketPool(capacity=4)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        packet = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        old_id = packet.packet_id
-        pool.release(packet)
-        packet = None
-        assert template.stamp("198.18.0.2", 2222, 2, 1.0).packet_id != old_id
+    host.send_packet = record
+    attacker = attacker_cls(
+        host, net.rng.child("a"), replace(config, victim_ip=net.hosts["srv1"].ip)
+    )
+    if fallback:
+        attacker._build_template = lambda: None
+    attacker.start()
+    net.run(until=1.0)
+    assert (attacker._template is None) == fallback
+    assert attacker.packets_sent == len(frames) > 100
+    return frames
 
-    def test_release_skips_live_packets(self):
-        pool = PacketPool(capacity=4)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        packet = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        retained = packet  # a second reference: a buffer, a sniffer, a queue
-        assert not pool.release(packet)
-        assert pool.skipped_live == 1 and pool.free_count == 0
-        assert retained.to_bytes()  # untouched
 
-    def test_release_overflow_beyond_capacity(self):
-        pool = PacketPool(capacity=1)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        first = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        second = template.stamp("198.18.0.2", 2222, 2, 0.0)
-        assert pool.release(first)
-        first = None
-        assert not pool.release(second)
-        assert pool.overflow == 1 and pool.free_count == 1
+class TestTemplateFallback:
+    """Without a template the attackers send per packet, frame for frame alike."""
 
-    def test_accounting_identity(self):
-        pool = PacketPool(capacity=8)
-        template = UdpFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 53, pool=pool)
-        for i in range(20):
-            packet = template.stamp(f"198.18.0.{i + 1}", 1024 + i, 0.0)
-            pool.release(packet)
-            packet = None
-        assert pool.releases - pool.hits == pool.free_count <= pool.capacity
+    def test_syn_fallback_matches_template(self):
+        config = SynFloodConfig(
+            rate_pps=400, schedule=AttackSchedule(start_s=0.1, ramp_s=0.3)
+        )
+        stamped = _wire_log(SynFloodAttacker, config, fallback=False)
+        assert stamped == _wire_log(SynFloodAttacker, config, fallback=True)
 
-    def test_copy_of_pooled_packet_draws_from_the_pool(self):
-        pool = PacketPool(capacity=4)
-        template = SynFloodTemplate(SRC_MAC, DST_MAC, VICTIM, 80, pool=pool)
-        packet = template.stamp("198.18.0.1", 1111, 1, 0.0)
-        pool.release(packet)
-        packet = None
-        assert pool.free_count == 1
-        donor = template.stamp("198.18.0.2", 2222, 2, 0.0)  # consumes the free shell
-        assert pool.free_count == 0
-        clone = donor.copy()  # pool empty again: a miss, but still pool-owned
-        assert clone._pool is pool
-        assert clone.packet_id != donor.packet_id
-        assert clone.to_bytes() == donor.to_bytes()
+    def test_udp_fallback_matches_template(self):
+        config = UdpFloodConfig(
+            rate_pps=400, payload_bytes=65, schedule=AttackSchedule(start_s=0.1)
+        )
+        stamped = _wire_log(UdpFloodAttacker, config, fallback=False)
+        assert stamped == _wire_log(UdpFloodAttacker, config, fallback=True)
 
 
 def _reference_checksum(data: bytes) -> int:

@@ -43,6 +43,30 @@ class TestProbe:
         assert undefended.probe.series.rule_drops.maximum() == 0.0
         assert defended.probe.series.rule_drops.maximum() > 100.0
 
+    def test_switch_utilization_is_per_period_busy_delta(self):
+        # Scripted charges on an idle, unstarted single-switch workload:
+        # each sample is the busy time charged since the previous tick over
+        # the period, and a charge landing exactly on a tick (t=1.0, which
+        # runs before that tick's sample) counts in that window only, not
+        # again in the next.
+        from repro.harness.probe import ScenarioProbe
+        from repro.topology import single_switch
+        from repro.workload import StandardWorkload
+
+        net, roles = single_switch(n_clients=1, n_attackers=0)
+        probe = ScenarioProbe(net, StandardWorkload(net, roles), period_s=1.0)
+        meter = net.switches["s1"].workload
+        for at, busy in ((0.5, 0.25), (1.0, 0.125), (2.5, 0.5)):
+            net.sim.schedule(
+                at, lambda busy=busy: meter.charge("x", busy, net.sim.now), "charge"
+            )
+        net.run(until=3.0)
+        probe.stop()
+        assert probe.series.switch_utilization.samples() == [
+            (0.0, 0.0), (1.0, 0.375), (2.0, 0.0), (3.0, 0.5),
+        ]
+        assert meter.total_busy == pytest.approx(0.875)
+
     def test_switch_utilization_positive_under_load(self):
         result = run_scenario(ScenarioConfig(defense="none", **PROBED))
         assert result.probe.series.switch_utilization.maximum(5.0, 15.0) > 0.0

@@ -253,7 +253,6 @@ class TestHarness:
             "LinkConservationChecker",
             "FlowTableCoherenceChecker",
             "TcpLegalityChecker",
-            "PacketPoolChecker",
             "SchedulerAccountingChecker",
         }
         harness.check_now()

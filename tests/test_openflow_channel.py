@@ -109,13 +109,6 @@ class TestWorkloadMeter:
         expected = meter.costs.mirror_packet + 1000 * meter.costs.mirror_byte
         assert meter.breakdown()["mirror"] == pytest.approx(expected)
 
-    def test_utilization_trailing_window(self):
-        meter = WorkloadMeter()
-        meter.charge("x", 0.25, now=1.0)
-        meter.charge("x", 0.25, now=5.0)
-        assert meter.utilization(now=5.0, window=1.0) == pytest.approx(0.25)
-        assert meter.utilization(now=5.0, window=10.0) == pytest.approx(0.05)
-
     def test_inspection_share(self):
         meter = WorkloadMeter()
         meter.charge("mirror", 0.3, now=0.0)
@@ -125,24 +118,9 @@ class TestWorkloadMeter:
     def test_inspection_share_zero_when_idle(self):
         assert WorkloadMeter().inspection_share() == 0.0
 
-    def test_prune_bounds_memory(self):
-        meter = WorkloadMeter()
-        for i in range(100):
-            meter.charge("x", 0.001, now=float(i))
-        meter.prune(before=90.0)
-        assert meter.utilization(now=100.0, window=100.0) == pytest.approx(
-            10 * 0.001 / 100.0
-        )
-        # Totals are preserved even after pruning samples.
-        assert meter.total_busy == pytest.approx(0.1)
-
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
             WorkloadMeter().charge("x", -1.0, now=0.0)
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadMeter().utilization(now=1.0, window=0.0)
 
     def test_custom_costs(self):
         costs = WorkloadCosts(lookup=1.0)

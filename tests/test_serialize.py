@@ -36,6 +36,32 @@ def rich_config() -> ScenarioConfig:
     )
 
 
+class TestUnknownKeys:
+    """A typo in a saved or posted config fails loudly, never runs defaults."""
+
+    def test_top_level_typo_rejected(self):
+        with pytest.raises(ValueError, match=r"duraton_s.*duration_s"):
+            config_from_dict({"duraton_s": 5})
+
+    def test_workload_typo_named_with_dotted_path(self):
+        with pytest.raises(ValueError, match=r"workload\.attak_rate_pps.*attack_rate_pps"):
+            config_from_dict({"workload": {"attak_rate_pps": 9999}})
+
+    def test_flash_crowd_typo_named_with_dotted_path(self):
+        with pytest.raises(ValueError, match=r"flash_crowd\.strat_s.*start_s"):
+            config_from_dict({"flash_crowd": {"strat_s": 1.0}})
+
+    def test_deeply_nested_typo_rejected(self):
+        with pytest.raises(ValueError, match=r"spi\.monitor\.windw_s"):
+            config_from_dict({"spi": {"monitor": {"windw_s": 2.0}}})
+
+    def test_every_unknown_key_at_a_level_is_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            config_from_dict({"duraton_s": 5, "sed": 3, "seed": 4})
+        message = str(excinfo.value)
+        assert "duraton_s" in message and "sed" in message
+
+
 class TestRoundtrip:
     def test_rich_config_roundtrips_exactly(self):
         config = rich_config()

@@ -475,6 +475,14 @@ class TestHttpService:
             client.create_session({"duration_s": -5})
         assert excinfo.value.status == 400
 
+    def test_unknown_config_key_is_bad_request(self, live_server):
+        client = live_server
+        with pytest.raises(ServiceError) as excinfo:
+            client.create_session({**_cfg_dict(), "duraton_s": 5})
+        assert excinfo.value.status == 400
+        assert "duraton_s" in str(excinfo.value)
+        assert client.status()["sessions"] == 0
+
     def test_result_before_terminal_is_conflict(self, live_server):
         client = live_server
         session = live_server.create_session(

@@ -1,4 +1,4 @@
-"""Tests for the exact-vs-sketch differential oracle (``--sketch-oracle``)."""
+"""Tests for the exact-vs-sketch differential oracle (``--oracle sketch``)."""
 
 from __future__ import annotations
 
@@ -81,21 +81,21 @@ class TestSketchDifferential:
         assert "windows within bounds" in outcome.detail
 
     def test_suite_report_includes_sketch_verdict(self):
-        report = run_fuzz_suite(n_seeds=1, base_seed=7, sketch_oracle=True)
-        assert report.sketch_matched is True
+        report = run_fuzz_suite(n_seeds=1, base_seed=7, oracles=["sketch"])
+        assert report.oracles == {"sketch": True}
         assert report.passed
 
 
 class TestCheckCli:
     def test_check_sketch_oracle_exit_zero(self, capsys):
-        code = main(["check", "--seeds", "2", "--sketch-oracle"])
+        code = main(["check", "--seeds", "2", "--oracle", "sketch"])
         assert code == 0
         out = capsys.readouterr().out
         assert "sketch oracle ok" in out
 
     def test_check_sketch_oracle_json(self, capsys):
-        code = main(["check", "--seeds", "1", "--sketch-oracle", "--json"])
+        code = main(["check", "--seeds", "1", "--oracle", "sketch", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["sketch_oracle"] is True
+        assert payload["oracles"] == {"sketch": True}
         assert payload["passed"] is True
